@@ -324,7 +324,7 @@ BENCHMARK(BM_SmcStepTwoUsers)->Arg(200)->Arg(1000);
 // Streaming ingestion overhead: bounded-queue push+pop cost per event,
 // excluding any filtering work.
 void BM_EventIngest(benchmark::State& state) {
-  stream::EventQueue queue(1024, stream::QueuePolicy::kBlock);
+  stream::EventQueue queue(1024);
   stream::FluxEvent out;
   double time = 0.0;
   for (auto _ : state) {
@@ -395,7 +395,7 @@ std::uint64_t run_stream_epochs(std::size_t workers) {
   }
   manager.start();
   for (const stream::FluxEvent& e : stream_events()) {
-    manager.push(e);
+    manager.offer(e);
   }
   manager.finish();
   return manager.stats().epochs_fired;

@@ -31,7 +31,6 @@ add_custom_target(lint_fluxfp
           --root ${CMAKE_SOURCE_DIR}
           --suppression-budget ${FLUXFP_LINT_SUPPRESSION_BUDGET}
           --expect-suppressions ${FLUXFP_LINT_SUPPRESSION_EXPECTED}
-          --cache-file ${CMAKE_BINARY_DIR}/.fluxfp_lint_cache
           src tests bench examples
   WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
   COMMENT "fluxfp-lint: checking project invariants"

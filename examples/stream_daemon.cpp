@@ -1,4 +1,4 @@
-// Streaming tracking service CLI — four subcommands over one seeded
+// Streaming tracking service CLI — three subcommands over one seeded
 // deployment:
 //
 //   local      the self-contained demo: simulate sessions, record the
@@ -8,20 +8,18 @@
 //   serve      run the FXN1 network service: the same deployment behind
 //              a TCP/Unix socket, multi-tenant admission, supervised
 //              crash recovery under live connections;
-//   replay-to  stream a recorded trace to a running server at Nx speed
-//              over one connection (netio::Client);
 //   query      ask a running server for a quiesced estimate, service
 //              metrics, or the newest checkpoint image.
 //
 // Invoked with flags only (no subcommand), `local` is assumed — the
 // pre-subcommand invocations in older docs keep working.
 //
-// Every parse failure — unknown subcommand, unknown flag, missing or
-// non-numeric value — goes through one usage_error() path: message to
-// stderr, brief usage, exit 2. `--help` prints the full help to stdout
-// and exits 0.
+// Every parse failure — unknown subcommand, unknown flag, missing,
+// non-numeric or negative value — goes through one usage_error() path:
+// message to stderr, brief usage, exit 2. `--help` prints the full help
+// to stdout and exits 0.
 
-#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -64,8 +62,7 @@ volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
 constexpr const char* kUsageBrief =
-    "usage: stream_daemon [local|serve|replay-to ADDR|query ADDR] "
-    "[flags]\n"
+    "usage: stream_daemon [local|serve|query ADDR] [flags]\n"
     "       stream_daemon --help\n";
 
 [[noreturn]] void usage_error(const std::string& message) {
@@ -81,7 +78,6 @@ void print_help() {
       "  stream_daemon local [flags]       in-process demo "
       "(default subcommand)\n"
       "  stream_daemon serve [flags]       run the FXN1 network service\n"
-      "  stream_daemon replay-to ADDR      stream a trace to a server\n"
       "  stream_daemon query ADDR          query a running server\n"
       "\n"
       "ADDR is unix:/path/to.sock or tcp:HOST:PORT.\n"
@@ -126,14 +122,6 @@ void print_help() {
       "  --latency-sample N    sample every Nth accepted event "
       "(default 16)\n"
       "\n"
-      "replay-to ADDR:\n"
-      "  --trace PATH          trace to stream (default "
-      "stream_daemon.trace)\n"
-      "  --tenant T --token K  authenticate as tenant T (default 0, "
-      "open)\n"
-      "  --speed S             pacing as in local (default 0 = max)\n"
-      "  --batch B             events per EVENT_BATCH frame (default 64)\n"
-      "\n"
       "query ADDR:\n"
       "  --tenant T --token K  authenticate as tenant T\n"
       "  --user U              print the quiesced estimate of session U\n"
@@ -147,7 +135,10 @@ std::uint64_t parse_u64(const char* flag, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+  // strtoull skips blanks and negates a leading '-' without ERANGE ("-1"
+  // would parse as 2^64-1), so the text must start with a digit.
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE) {
     usage_error(std::string(flag) + " needs a non-negative integer, got '" +
                 text + "'");
   }
@@ -378,7 +369,7 @@ int run_local(int argc, char** argv, int first) {
   stream::Supervisor supervisor(factory, scfg2);
   supervisor.start();
 
-  // The replay loop is the daemon's own (rather than replay_trace_file)
+  // The replay loop is the daemon's own (rather than stream::replay_trace)
   // so SIGINT/SIGTERM can stop it between events and pacing sleeps stay
   // interruptible; the resume offset advances in lockstep with committed
   // checkpoints.
@@ -614,139 +605,6 @@ int run_serve(int argc, char** argv, int first) {
 }
 
 // ---------------------------------------------------------------------------
-// replay-to
-// ---------------------------------------------------------------------------
-
-int run_replay_to(int argc, char** argv, int first) {
-  if (first >= argc || argv[first][0] == '-') {
-    usage_error("replay-to needs an ADDR operand");
-  }
-  const netio::Endpoint endpoint = parse_endpoint(argv[first]);
-  std::string trace_path = "stream_daemon.trace";
-  std::uint64_t tenant = 0;
-  std::uint64_t token = 0;
-  double speed = 0.0;
-  std::size_t batch_size = 64;
-  ArgCursor args{argc, argv, first + 1};
-  for (; args.i < argc; ++args.i) {
-    const char* a = argv[args.i];
-    if (!std::strcmp(a, "--trace")) {
-      trace_path = args.value(a);
-    } else if (!std::strcmp(a, "--tenant")) {
-      tenant = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--token")) {
-      token = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--speed")) {
-      speed = parse_f64(a, args.value(a));
-    } else if (!std::strcmp(a, "--batch")) {
-      batch_size = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--help")) {
-      print_help();
-      return 0;
-    } else {
-      usage_error(std::string("unknown flag '") + a + "' for replay-to");
-    }
-  }
-  if (batch_size == 0) {
-    usage_error("--batch must be >= 1");
-  }
-
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-
-  std::ifstream trace_in(trace_path, std::ios::binary);
-  if (!trace_in) {
-    std::fprintf(stderr, "replay-to: cannot open %s\n", trace_path.c_str());
-    return 1;
-  }
-
-  netio::Client client;
-  if (!client.connect(endpoint, static_cast<std::uint32_t>(tenant),
-                      token)) {
-    std::fprintf(stderr, "replay-to: %s\n", client.last_error().c_str());
-    return 1;
-  }
-  std::printf("connected to %s as tenant %llu (%u sessions registered)\n",
-              endpoint.to_string().c_str(),
-              static_cast<unsigned long long>(tenant),
-              client.welcome().sessions);
-
-  netio::BatchAckMsg totals;
-  auto flush = [&](std::vector<stream::FluxEvent>& batch) {
-    if (batch.empty()) {
-      return true;
-    }
-    netio::BatchAckMsg ack;
-    if (!client.send_batch(batch, ack)) {
-      std::fprintf(stderr, "replay-to: %s\n", client.last_error().c_str());
-      return false;
-    }
-    totals.accepted += ack.accepted;
-    totals.shed += ack.shed;
-    totals.unknown += ack.unknown;
-    totals.foreign += ack.foreign;
-    totals.closed += ack.closed;
-    batch.clear();
-    return true;
-  };
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::optional<stream::ReplayPacer> pacer;
-  std::vector<stream::FluxEvent> batch;
-  stream::FluxEvent event;
-  std::uint64_t sent = 0;
-  bool ok = true;
-  try {
-    stream::TraceReplayer replayer(trace_in);
-    while (!g_stop && replayer.next(event)) {
-      if (speed > 0.0) {
-        if (!pacer) {
-          pacer.emplace(speed, event.time);
-        }
-        if (!pacer->pace(event.time, [] { return g_stop != 0; })) {
-          break;
-        }
-      }
-      batch.push_back(event);
-      ++sent;
-      if (batch.size() >= batch_size && !flush(batch)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && !flush(batch)) {
-      ok = false;
-    }
-  } catch (const stream::TraceFormatError& e) {
-    std::fprintf(stderr, "replay-to: trace %s: %s\n", trace_path.c_str(),
-                 e.what());
-    ok = false;
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  std::printf("streamed %llu events in %.3fs (%.0f events/s offered): "
-              "%llu accepted, %llu shed, %llu unknown, %llu foreign, "
-              "%llu closed\n",
-              static_cast<unsigned long long>(sent), wall,
-              wall > 0.0 ? static_cast<double>(sent) / wall : 0.0,
-              static_cast<unsigned long long>(totals.accepted),
-              static_cast<unsigned long long>(totals.shed),
-              static_cast<unsigned long long>(totals.unknown),
-              static_cast<unsigned long long>(totals.foreign),
-              static_cast<unsigned long long>(totals.closed));
-  if (pacer && pacer->max_behind_seconds() > 0.0) {
-    std::printf("pacing: worst lag behind schedule %.1f ms\n",
-                1e3 * pacer->max_behind_seconds());
-  }
-  if (ok) {
-    client.goodbye();
-  }
-  return ok ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
 // query
 // ---------------------------------------------------------------------------
 
@@ -877,9 +735,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "serve") {
     return run_serve(argc, argv, first);
-  }
-  if (cmd == "replay-to") {
-    return run_replay_to(argc, argv, first);
   }
   if (cmd == "query") {
     return run_query(argc, argv, first);

@@ -18,9 +18,9 @@ namespace fluxfp::netio {
 /// server's ERROR contract is "typed reason, then close", so there is
 /// nothing to salvage; reconnect to continue).
 ///
-/// Used by stream_daemon's replay-to/query subcommands and by every
-/// fluxfp_loadgen connection — the loadgen's drop/shed numbers are read
-/// straight off these BatchAck/Metrics replies.
+/// Used by stream_daemon's query subcommand and by every fluxfp_loadgen
+/// connection — the loadgen's drop/shed numbers are read straight off
+/// these BatchAck/Metrics replies.
 class Client {
  public:
   Client() = default;

@@ -35,48 +35,29 @@ std::vector<FluxEvent> merge_by_time(
   return merged;
 }
 
-EventQueue::EventQueue(std::size_t capacity, QueuePolicy policy)
-    : capacity_(capacity), policy_(policy) {
+EventQueue::EventQueue(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("EventQueue: capacity must be >= 1");
   }
 }
 
 bool EventQueue::push(const FluxEvent& event) {
-  bool evicted = false;
   support::UniqueLock lock(mutex_);
-  if (policy_ == QueuePolicy::kBlock) {
-    not_full_.wait(lock.native(), [&] {
-      mutex_.assert_held();  // predicate runs under the re-acquired lock
-      return closed_ || items_.size() < capacity_;
-    });
-    if (closed_) {
-      return false;
-    }
-  } else {
-    if (closed_) {
-      return false;
-    }
-    if (items_.size() >= capacity_) {
-      items_.pop_front();
-      ++stats_.dropped;
-      evicted = true;
-    }
+  not_full_.wait(lock.native(), [&] {
+    mutex_.assert_held();  // predicate runs under the re-acquired lock
+    return closed_ || items_.size() < capacity_;
+  });
+  if (closed_) {
+    return false;
   }
   items_.push_back(event);
   ++stats_.pushed;
   stats_.max_depth = std::max(stats_.max_depth, items_.size());
   lock.unlock();
   not_empty_.notify_one();
-  // Obs mirrors of QueueStats, recorded outside the critical section.
-  // Accepted pushes are content-driven (stable); evictions depend on how
-  // fast the consumer drains, i.e. on scheduling.
+  // Obs mirror of QueueStats, recorded outside the critical section.
   FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_pushed_total",
                          "Events accepted by ingest queues");
-  if (evicted) {
-    FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_stream_queue_dropped_total",
-                                 "Oldest-event evictions under kDropOldest");
-  }
   return true;
 }
 

@@ -9,33 +9,22 @@
 
 namespace fluxfp::stream {
 
-/// What a full queue does to a producer.
-enum class QueuePolicy {
-  /// push() blocks until a consumer makes room — lossless backpressure.
-  /// This is the policy the determinism contract assumes: every event is
-  /// delivered, so replaying a trace yields the same folding at any worker
-  /// count.
-  kBlock,
-  /// push() evicts the oldest queued event and never blocks — bounded
-  /// latency under overload at the cost of losing the events least likely
-  /// to still matter. Every eviction is counted (QueueStats::dropped);
-  /// a tracker downstream sees the dropped readings as missing.
-  kDropOldest,
-};
-
 /// Monotonic counters describing a queue's life so far. Conservation
-/// invariant at any instant (under the lock): pushed == popped + dropped +
-/// evicted + size().
+/// invariant at any instant (under the lock): pushed == popped + evicted +
+/// size().
 struct QueueStats {
   std::uint64_t pushed = 0;   ///< accepted events (includes later-evicted)
   std::uint64_t popped = 0;   ///< events handed to consumers
-  std::uint64_t dropped = 0;  ///< evictions under kDropOldest
   std::uint64_t evicted = 0;  ///< targeted removals via evict_one()
   std::size_t max_depth = 0;  ///< high-water mark of the backlog
 };
 
-/// Bounded multi-producer/single-consumer event queue with an explicit
-/// overflow policy. Plain mutex + condition variables: the per-event cost
+/// Bounded multi-producer/single-consumer event queue. A full queue blocks
+/// its producers — lossless backpressure, which is what the determinism
+/// contract assumes: every accepted event is delivered, so replaying a
+/// trace yields the same folding at any worker count. Load shedding, when
+/// a deployment wants it, happens before the queue (TrackerManager's
+/// AdmissionPolicy). Plain mutex + condition variables: the per-event cost
 /// is dwarfed by the filtering work downstream, and the simple protocol is
 /// trivially clean under TSan — this queue and the TrackerManager are the
 /// first cross-thread mutable state in the repo.
@@ -46,12 +35,10 @@ struct QueueStats {
 class EventQueue {
  public:
   /// `capacity` >= 1 bounds the backlog. Throws std::invalid_argument on 0.
-  explicit EventQueue(std::size_t capacity,
-                      QueuePolicy policy = QueuePolicy::kBlock);
+  explicit EventQueue(std::size_t capacity);
 
-  /// Enqueues `event`. kBlock: waits for room (returns false only when the
-  /// queue was closed while waiting or before the call). kDropOldest:
-  /// always succeeds immediately, evicting the oldest event when full.
+  /// Enqueues `event`, waiting for room. Returns false only when the queue
+  /// was closed while waiting or before the call.
   bool push(const FluxEvent& event);
 
   /// Dequeues into `out`, waiting for an event. Returns false when the
@@ -65,8 +52,8 @@ class EventQueue {
   /// Removes the oldest queued event of `user` (admission-policy
   /// displacement: TrackerManager's kShedLowestPriority evicts a queued
   /// low-priority event to admit a higher-priority one). Returns false
-  /// when no event of that user is queued. Frees a slot, so a kBlock
-  /// producer waiting for room is woken.
+  /// when no event of that user is queued. Frees a slot, so a producer
+  /// waiting for room is woken.
   bool evict_one(std::uint32_t user);
 
   /// Closes the queue: subsequent pushes fail, blocked producers and the
@@ -76,14 +63,12 @@ class EventQueue {
   bool closed() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  QueuePolicy policy() const { return policy_; }
 
   /// Snapshot of the counters (consistent, taken under the lock).
   QueueStats stats() const;
 
  private:
   const std::size_t capacity_;
-  const QueuePolicy policy_;
 
   mutable support::Mutex mutex_;
   std::condition_variable not_empty_;

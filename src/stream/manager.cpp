@@ -54,8 +54,7 @@ void TrackerManager::start() {
   config_.workers = workers;
   queues_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    queues_.push_back(
-        std::make_unique<EventQueue>(config_.queue_capacity, config_.policy));
+    queues_.push_back(std::make_unique<EventQueue>(config_.queue_capacity));
   }
   {
     // No worker exists yet, but the admission ledger is flow-state:
@@ -256,14 +255,6 @@ void TrackerManager::quiesce() {
       finished_.load(std::memory_order_relaxed)) {
     return;
   }
-  if (config_.policy != QueuePolicy::kBlock) {
-    // kDropOldest evicts events that will never be popped, so "processed
-    // catches up to routed" is unreachable — and a checkpoint cut would
-    // not be an event boundary anyway.
-    throw std::logic_error(
-        "TrackerManager: quiesce()/checkpoint() while running require "
-        "QueuePolicy::kBlock");
-  }
   support::UniqueLock lock(flow_mutex_);
   flow_cv_.wait(lock.native(), [&] {
     flow_mutex_.assert_held();  // predicate runs under the lock
@@ -355,7 +346,6 @@ void TrackerManager::finish() {
     const QueueStats qs = q->stats();
     final_stats_.events_routed += qs.pushed;
     final_stats_.events_processed += qs.popped;
-    final_stats_.events_dropped += qs.dropped;
     final_stats_.events_evicted += qs.evicted;
   }
 #if defined(FLUXFP_OBS_ENABLED)

@@ -54,14 +54,11 @@ struct SessionOptions {
 struct ManagerConfig {
   /// Worker threads events are sharded over (>= 1). Each session is pinned
   /// to one worker; per-session event order is preserved by routing, so
-  /// results are bit-identical at any worker count (under kBlock).
+  /// results are bit-identical at any worker count (unless a shedding
+  /// AdmissionPolicy drops events).
   std::size_t workers = 1;
-  /// Per-worker ingest queue bound.
+  /// Per-worker ingest queue bound; a full queue blocks offer().
   std::size_t queue_capacity = 256;
-  /// What a full ingest queue does to push() — see QueuePolicy. kDropOldest
-  /// trades the lossless-delivery half of the determinism contract for
-  /// bounded producer latency.
-  QueuePolicy policy = QueuePolicy::kBlock;
   /// Max in-flight (queued, not yet folded) events per tenant; 0 disables
   /// admission control entirely — the default keeps the no-quota hot path
   /// free of admission bookkeeping.
@@ -73,12 +70,11 @@ struct ManagerConfig {
 
 /// Service-level counters, valid after finish().
 struct ManagerStats {
-  std::uint64_t events_routed = 0;     ///< accepted by offer()/push()
+  std::uint64_t events_routed = 0;     ///< accepted by offer()
   std::uint64_t events_processed = 0;  ///< popped and folded by workers
-  std::uint64_t events_dropped = 0;    ///< queue evictions (kDropOldest)
   std::uint64_t events_shed = 0;       ///< rejected by the admission policy
   std::uint64_t events_evicted = 0;    ///< displaced by a higher priority
-  std::uint64_t unknown_user = 0;      ///< pushes for unregistered sessions
+  std::uint64_t unknown_user = 0;      ///< offers for unregistered sessions
   std::uint64_t epochs_fired = 0;
   double wall_seconds = 0.0;           ///< start() -> finish(), wall-clock
   double events_per_second = 0.0;      ///< processed / wall_seconds
@@ -94,10 +90,11 @@ struct ManagerStats {
 ///
 /// Determinism contract (the streaming extension of PR 2's): every session
 /// owns its RNG (seeded at StreamTracker construction) and consumes its own
-/// events in push order — routing never reorders a session's events, and
-/// sessions never share mutable state. Under QueuePolicy::kBlock (and no
-/// tenant quota, or AdmissionPolicy::kBlock) the same pushed sequence
-/// therefore yields bit-identical per-user estimates at ANY worker count.
+/// events in offer order — routing never reorders a session's events, and
+/// sessions never share mutable state. Ingest queues block rather than
+/// drop, so with no tenant quota (or AdmissionPolicy::kBlock) the same
+/// offered sequence yields bit-identical per-user estimates at ANY worker
+/// count.
 /// Worker threads hold a numeric::SerialRegionGuard, so the per-step
 /// candidate evaluation runs inline and the shared pool is left to
 /// single-threaded callers; the service's parallelism axis is sessions.
@@ -127,14 +124,9 @@ class TrackerManager {
   void start();
 
   /// Routes one event to its session's worker and reports the admission
-  /// outcome. Under kBlock (queue or quota) this call provides the
-  /// backpressure. Any thread may offer.
+  /// outcome. A full queue (or a kBlock quota) makes this call wait — it
+  /// is the service's backpressure. Any thread may offer.
   PushStatus offer(const FluxEvent& event);
-
-  /// Legacy boolean form: true iff offer() returned kAccepted.
-  bool push(const FluxEvent& event) {
-    return offer(event) == PushStatus::kAccepted;
-  }
 
   /// Blocks until every event accepted so far has been folded by its
   /// worker (queues drained, workers idle). The caller must not offer()

@@ -95,11 +95,10 @@ struct SupervisorStats {
 /// an event boundary (quiesce), and checkpoint + journal always
 /// reconstruct the precise accepted-event prefix, so the results of a
 /// supervised run are bit-identical to an uninterrupted run no matter
-/// when or how often the shard dies (under QueuePolicy::kBlock and
-/// lossless admission; shedding policies lose this by design). Every
-/// restart round-trips the state through encoded FLUXFPC1 bytes — the
-/// serialized format, not the in-memory structs, is what recovery relies
-/// on.
+/// when or how often the shard dies (under lossless admission; shedding
+/// policies lose this by design). Every restart round-trips the state
+/// through encoded FLUXFPC1 bytes — the serialized format, not the
+/// in-memory structs, is what recovery relies on.
 ///
 /// The factory builds a fresh, NOT-started manager with the same sessions
 /// (same construction inputs: model, sniffers, config, seed) each time —

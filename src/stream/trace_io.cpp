@@ -267,7 +267,7 @@ bool ReplayPacer::pace(double event_time,
 
 std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
                            double speed) {
-  std::uint64_t pushed = 0;
+  std::uint64_t accepted = 0;
   FluxEvent event;
   std::optional<ReplayPacer> pacer;
   while (replayer.next(event)) {
@@ -278,21 +278,11 @@ std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
       }
       pacer->pace(event.time);
     }
-    if (manager.push(event)) {
-      ++pushed;
+    if (manager.offer(event) == PushStatus::kAccepted) {
+      ++accepted;
     }
   }
-  return pushed;
-}
-
-std::uint64_t replay_trace_file(const std::string& path,
-                                TrackerManager& manager, double speed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("replay_trace_file: cannot open " + path);
-  }
-  TraceReplayer replayer(in);
-  return replay_trace(replayer, manager, speed);
+  return accepted;
 }
 
 }  // namespace fluxfp::stream

@@ -204,15 +204,12 @@ class ReplayPacer {
 /// Deliveries are scheduled by a ReplayPacer against absolute deadlines
 /// from the stream epoch clock (the first event's timestamp), so the
 /// offered rate stays honest at any speedup. Pacing affects wall-clock
-/// only — under QueuePolicy::kBlock the folding and estimates are
-/// bit-identical at every speed, which is what makes recorded runs a
-/// regression currency. Returns the number of events pushed (events for
-/// unknown users are skipped and not counted).
+/// only — the ingest queues block rather than drop, so without a shedding
+/// quota the folding and estimates are bit-identical at every speed, which
+/// is what makes recorded runs a regression currency. Returns the number
+/// of events accepted (events for unknown users are skipped and not
+/// counted).
 std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
                            double speed = 0.0);
-
-/// File-path convenience for replay_trace.
-std::uint64_t replay_trace_file(const std::string& path,
-                                TrackerManager& manager, double speed = 0.0);
 
 }  // namespace fluxfp::stream

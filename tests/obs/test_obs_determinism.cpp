@@ -78,7 +78,7 @@ StableSnapshot run_and_snapshot(const Bed& bed, std::size_t workers,
   }
   m.start();
   for (const stream::FluxEvent& e : events) {
-    m.push(e);
+    m.offer(e);
   }
   m.finish();
   return {reg.export_text(false), reg.export_json(false)};

@@ -94,7 +94,7 @@ Fired run_uninterrupted(const Bed& bed, std::size_t num_sessions,
   auto m = make_manager(bed, num_sessions, workers);
   m->start();
   for (const FluxEvent& e : events) {
-    m->push(e);
+    m->offer(e);
   }
   m->finish();
   return collect(*m, num_sessions);
@@ -116,7 +116,7 @@ std::string valid_image(const Bed& bed) {
   auto m = make_manager(bed, 2, 1);
   m->start();
   for (const FluxEvent& e : bed.session_events(0, 3, 7)) {
-    m->push(e);
+    m->offer(e);
   }
   const ManagerCheckpoint cp = m->checkpoint();
   m->finish();
@@ -138,7 +138,7 @@ TEST(Checkpoint, RoundTripPreservesEveryFieldNaNExactly) {
   // Stop mid-stream so open windows (with missing = NaN slots) exist.
   const std::vector<FluxEvent> events = bed.session_events(0, 4, 11);
   for (std::size_t i = 0; i + 3 < events.size(); ++i) {
-    m->push(events[i]);
+    m->offer(events[i]);
   }
   const ManagerCheckpoint cp = m->checkpoint();
   m->finish();
@@ -218,7 +218,7 @@ TEST(Checkpoint, KillAtArbitraryEventRestoreIsBitIdentical) {
       auto first = make_manager(bed, kSessions, workers);
       first->start();
       for (std::size_t i = 0; i < cut; ++i) {
-        first->push(merged[i]);
+        first->offer(merged[i]);
       }
       const ManagerCheckpoint cp = first->checkpoint();
       const Fired committed = collect(*first, kSessions);
@@ -228,7 +228,7 @@ TEST(Checkpoint, KillAtArbitraryEventRestoreIsBitIdentical) {
       second->restore(through_bytes(cp));
       second->start();
       for (std::size_t i = cut; i < merged.size(); ++i) {
-        second->push(merged[i]);
+        second->offer(merged[i]);
       }
       second->finish();
       const Fired resumed = collect(*second, kSessions);
@@ -249,7 +249,7 @@ TEST(Checkpoint, RestoreValidatesDeploymentAndLifecycle) {
   auto m = make_manager(bed, 2, 1);
   m->start();
   for (const FluxEvent& e : bed.session_events(0, 3, 5)) {
-    m->push(e);
+    m->offer(e);
   }
   const ManagerCheckpoint cp = m->checkpoint();
   m->finish();
@@ -278,26 +278,12 @@ TEST(Checkpoint, RestoreValidatesDeploymentAndLifecycle) {
   // Validation is all-or-nothing: the failed restores above must not have
   // half-applied, so a clean restore still works.
   fresh->restore(cp);
+  // checkpoint() needs no running service: before start() and after
+  // finish() it snapshots without quiescing.
+  EXPECT_EQ(fresh->checkpoint().sessions.size(), 2u);
   fresh->start();
   fresh->finish();
-}
-
-TEST(Checkpoint, QuiesceWhileRunningRequiresBlockPolicy) {
-  const Bed bed;
-  ManagerConfig mc;
-  mc.policy = QueuePolicy::kDropOldest;
-  TrackerManager m(mc);
-  m.add_session(0, bed.tracker(1));
-  // Checkpoints before start and after finish are fine under any policy;
-  // a running kDropOldest service has no reachable event boundary.
-  const ManagerCheckpoint cold = m.checkpoint();
-  EXPECT_EQ(cold.sessions.size(), 1u);
-  m.start();
-  EXPECT_THROW(m.checkpoint(), std::logic_error);
-  EXPECT_THROW(m.quiesce(), std::logic_error);
-  m.finish();
-  const ManagerCheckpoint warm = m.checkpoint();
-  EXPECT_EQ(warm.sessions.size(), 1u);
+  EXPECT_EQ(fresh->checkpoint().sessions.size(), 2u);
 }
 
 TEST(CheckpointError, TruncatedHeaderIsTyped) {
@@ -376,7 +362,7 @@ TEST(Checkpoint, FileRoundTripViaTempDir) {
   auto m = make_manager(bed, 2, 1);
   m->start();
   for (const FluxEvent& e : bed.session_events(1, 3, 9)) {
-    m->push(e);
+    m->offer(e);
   }
   const ManagerCheckpoint cp = m->checkpoint();
   m->finish();

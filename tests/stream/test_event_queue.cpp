@@ -23,11 +23,11 @@ FluxEvent ev(double time, std::uint32_t node) {
 }
 
 TEST(EventQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(EventQueue(0, QueuePolicy::kBlock), std::invalid_argument);
+  EXPECT_THROW(EventQueue(0), std::invalid_argument);
 }
 
 TEST(EventQueue, FifoOrderAndStats) {
-  EventQueue q(8, QueuePolicy::kBlock);
+  EventQueue q(8);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(q.push(ev(i, static_cast<std::uint32_t>(i))));
   }
@@ -40,12 +40,11 @@ TEST(EventQueue, FifoOrderAndStats) {
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 5u);
   EXPECT_EQ(s.popped, 5u);
-  EXPECT_EQ(s.dropped, 0u);
   EXPECT_EQ(s.max_depth, 5u);
 }
 
 TEST(EventQueue, BlockPolicyIsLossless) {
-  EventQueue q(2, QueuePolicy::kBlock);
+  EventQueue q(2);
   std::atomic<int> produced{0};
   // fluxfp-lint: allow(no-raw-thread) -- MPSC backpressure needs a real
   // competing producer thread; parallel_for cannot model it.
@@ -68,11 +67,10 @@ TEST(EventQueue, BlockPolicyIsLossless) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(seen[i], i);
   }
-  EXPECT_EQ(q.stats().dropped, 0u);
 }
 
 TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
-  EventQueue q(1, QueuePolicy::kBlock);
+  EventQueue q(1);
   ASSERT_TRUE(q.push(ev(0, 0)));
   std::atomic<bool> second_done{false};
   // fluxfp-lint: allow(no-raw-thread) -- must observe a blocked push from
@@ -89,29 +87,12 @@ TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
   EXPECT_TRUE(second_done.load());
 }
 
-TEST(EventQueue, DropOldestEvictsAndCounts) {
-  EventQueue q(3, QueuePolicy::kDropOldest);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(q.push(ev(i, static_cast<std::uint32_t>(i))));
-  }
-  // Capacity 3: events 0..3 were evicted, 4..6 survive in order.
-  FluxEvent out;
-  for (std::uint32_t expect : {4u, 5u, 6u}) {
-    ASSERT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out.node, expect);
-  }
-  const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, 7u);
-  EXPECT_EQ(s.dropped, 4u);
-  EXPECT_EQ(s.popped, 3u);
-}
-
 TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
-  // Regression guard for the kDropOldest drop accounting: a producer
-  // mutates pushed/dropped/max_depth at full speed while this thread
-  // snapshots stats() — under TSan this is the tear/race probe, and the
-  // invariants below catch a snapshot that mixed two states.
-  EventQueue q(8, QueuePolicy::kDropOldest);
+  // A producer mutates pushed/max_depth at full speed against a small
+  // queue while this thread snapshots stats() and drains it — under TSan
+  // this is the tear/race probe, and the invariants below catch a
+  // snapshot that mixed two states.
+  EventQueue q(8);
   constexpr std::uint64_t kEvents = 20000;
 #if defined(FLUXFP_OBS_ENABLED)
   auto& reg = obs::MetricsRegistry::global();
@@ -119,12 +100,8 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
       reg.counter("fluxfp_stream_queue_pushed_total", "");
   obs::Counter& obs_popped =
       reg.counter("fluxfp_stream_queue_popped_total", "");
-  obs::Counter& obs_dropped = reg.counter(
-      "fluxfp_stream_queue_dropped_total", "",
-      obs::Determinism::kScheduling);
   const std::uint64_t pushed0 = obs_pushed.value();
   const std::uint64_t popped0 = obs_popped.value();
-  const std::uint64_t dropped0 = obs_dropped.value();
 #endif
   std::atomic<bool> done{false};
   // fluxfp-lint: allow(no-raw-thread) -- the race under test is a producer
@@ -141,12 +118,12 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
     const QueueStats s = q.stats();
     // Counters are taken under one lock: any snapshot, however racy the
     // surrounding traffic, must satisfy the queue's conservation laws.
-    ASSERT_LE(s.popped + s.dropped, s.pushed);
-    ASSERT_LE(s.pushed - s.popped - s.dropped, q.capacity());
+    ASSERT_LE(s.popped, s.pushed);
+    ASSERT_LE(s.pushed - s.popped, q.capacity());
     ASSERT_LE(s.max_depth, q.capacity());
     ++polls;
-    if ((polls & 7u) == 0) {
-      q.try_pop(out);  // keep the consumer half of the protocol alive
+    if ((polls & 3u) == 0) {
+      q.try_pop(out);  // the blocked producer only advances as we pop
     }
   }
   producer.join();
@@ -154,18 +131,16 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
   }
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, kEvents);
-  EXPECT_EQ(s.popped + s.dropped, s.pushed);
-  EXPECT_GT(s.dropped, 0u);  // capacity 8 vs 20k pushes must evict
+  EXPECT_EQ(s.popped, s.pushed);
 #if defined(FLUXFP_OBS_ENABLED)
   // The obs mirrors moved in lockstep with the QueueStats they replace.
   EXPECT_EQ(obs_pushed.value() - pushed0, s.pushed);
   EXPECT_EQ(obs_popped.value() - popped0, s.popped);
-  EXPECT_EQ(obs_dropped.value() - dropped0, s.dropped);
 #endif
 }
 
 TEST(EventQueue, CloseDrainsThenStops) {
-  EventQueue q(4, QueuePolicy::kBlock);
+  EventQueue q(4);
   q.push(ev(0, 7));
   q.close();
   EXPECT_FALSE(q.push(ev(1, 8)));  // no new events after close
@@ -176,10 +151,10 @@ TEST(EventQueue, CloseDrainsThenStops) {
 }
 
 TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
-  // Shutdown-wakeup regression guard: a producer parked in a kBlock push
+  // Shutdown-wakeup regression guard: a producer parked in a blocked push
   // must observe close() promptly and return false — shutdown must never
   // wait for a pop that will not come.
-  EventQueue q(1, QueuePolicy::kBlock);
+  EventQueue q(1);
   ASSERT_TRUE(q.push(ev(0, 0)));
   std::atomic<bool> push_returned{false};
   std::atomic<bool> push_result{true};
@@ -208,7 +183,7 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
 }
 
 TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
-  EventQueue q(8, QueuePolicy::kBlock);
+  EventQueue q(8);
   ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
   ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
   ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
@@ -225,12 +200,12 @@ TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
   EXPECT_EQ(s.pushed, 3u);
   EXPECT_EQ(s.evicted, 1u);
   EXPECT_EQ(s.popped, 2u);
-  // Conservation: pushed == popped + dropped + evicted + size().
-  EXPECT_EQ(s.pushed, s.popped + s.dropped + s.evicted + q.size());
+  // Conservation: pushed == popped + evicted + size().
+  EXPECT_EQ(s.pushed, s.popped + s.evicted + q.size());
 }
 
 TEST(EventQueue, EvictOneFreesASlotForABlockedProducer) {
-  EventQueue q(1, QueuePolicy::kBlock);
+  EventQueue q(1);
   ASSERT_TRUE(q.push({0.0, 4, 0, 0, 1.0}));
   std::atomic<bool> second_done{false};
   // fluxfp-lint: allow(no-raw-thread) -- a parked producer observing the
@@ -250,7 +225,7 @@ TEST(EventQueue, EvictOneFreesASlotForABlockedProducer) {
 }
 
 TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
-  EventQueue q(4, QueuePolicy::kBlock);
+  EventQueue q(4);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 50;
   // fluxfp-lint: allow(no-raw-thread) -- multi-producer contention test;

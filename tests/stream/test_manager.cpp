@@ -84,7 +84,7 @@ Fired run_manager(const Bed& bed, std::size_t num_sessions,
   }
   m.start();
   for (const FluxEvent& e : events) {
-    m.push(e);
+    m.offer(e);
   }
   m.finish();
   Fired fired(num_sessions);
@@ -109,13 +109,13 @@ TEST(TrackerManager, ValidatesConfigAndLifecycle) {
   EXPECT_THROW(m.start(), std::logic_error);  // no sessions
   m.add_session(3, bed.tracker(1));
   EXPECT_THROW(m.add_session(3, bed.tracker(2)), std::invalid_argument);
-  EXPECT_FALSE(m.push({0.0, 3, 0, 0, 1.0}));  // not started yet
+  EXPECT_EQ(m.offer({0.0, 3, 0, 0, 1.0}), PushStatus::kClosed);  // not started
   m.start();
   EXPECT_THROW(m.start(), std::logic_error);
   EXPECT_THROW(m.add_session(4, bed.tracker(3)), std::logic_error);
-  EXPECT_FALSE(m.push({0.0, 9, 0, 0, 1.0}));  // unknown user
+  EXPECT_EQ(m.offer({0.0, 9, 0, 0, 1.0}), PushStatus::kUnknownUser);
   m.finish();
-  EXPECT_FALSE(m.push({0.0, 3, 0, 0, 1.0}));  // shut down
+  EXPECT_EQ(m.offer({0.0, 3, 0, 0, 1.0}), PushStatus::kClosed);  // shut down
   EXPECT_EQ(m.stats().unknown_user, 1u);
   EXPECT_THROW(m.results(9), std::invalid_argument);
 }
@@ -205,15 +205,14 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
   m.start();
   std::uint64_t accepted = 0;
   for (const FluxEvent& e : faulty) {
-    accepted += m.push(e) ? 1 : 0;
+    accepted += m.offer(e) == PushStatus::kAccepted ? 1 : 0;
   }
   m.finish();
 
   const ManagerStats stats = m.stats();
-  // kBlock is lossless: everything accepted was processed.
+  // The blocking queues are lossless: everything accepted was processed.
   EXPECT_EQ(stats.events_routed, accepted);
   EXPECT_EQ(stats.events_processed, accepted);
-  EXPECT_EQ(stats.events_dropped, 0u);
   EXPECT_GT(stats.epochs_fired, 0u);
   EXPECT_EQ(stats.filter_micros.size(), stats.epochs_fired);
 
@@ -303,7 +302,6 @@ TEST(TrackerManager, UnknownUserAndShedCountersMatchReturnedStatuses) {
   // everything admitted was folded (kShedNewest loses only at admission).
   EXPECT_GT(shed, 0u);
   EXPECT_EQ(stats.events_processed, stats.events_routed);
-  EXPECT_EQ(stats.events_dropped, 0u);
   EXPECT_EQ(stats.events_evicted, 0u);
 #if defined(FLUXFP_OBS_ENABLED)
   // The obs mirrors moved in lockstep with the statuses offer() returned.
@@ -379,7 +377,6 @@ TEST(TrackerManager, ShedLowestPriorityDisplacesForTheImportantSession) {
   // displaced event leaves the quota ledger AND the queue accounting.
   EXPECT_EQ(stats.events_processed + stats.events_evicted,
             stats.events_routed);
-  EXPECT_EQ(stats.events_dropped, 0u);
 #if defined(FLUXFP_OBS_ENABLED)
   EXPECT_EQ(reg.counter("fluxfp_stream_quota_shed_total", "",
                         obs::Determinism::kScheduling)
@@ -430,27 +427,6 @@ TEST(TrackerManager, BlockQuotaProducerIsWokenByFinish) {
   EXPECT_EQ(offer_status.load(), PushStatus::kClosed);
   // The two admitted events were still folded on the way out.
   EXPECT_EQ(m.stats().events_processed, 2u);
-}
-
-TEST(TrackerManager, DropOldestKeepsConservation) {
-  const Bed bed;
-  const std::vector<FluxEvent> events = bed.session_events(0, 8, 13);
-  ManagerConfig mc;
-  mc.workers = 1;
-  mc.queue_capacity = 2;
-  mc.policy = QueuePolicy::kDropOldest;
-  TrackerManager m(mc);
-  m.add_session(0, bed.tracker(5));
-  m.start();
-  std::uint64_t accepted = 0;
-  for (const FluxEvent& e : events) {
-    accepted += m.push(e) ? 1 : 0;
-  }
-  m.finish();
-  const ManagerStats stats = m.stats();
-  EXPECT_EQ(stats.events_routed, accepted);
-  EXPECT_EQ(stats.events_processed + stats.events_dropped,
-            stats.events_routed);
 }
 
 }  // namespace

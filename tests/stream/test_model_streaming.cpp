@@ -91,7 +91,7 @@ Fired run_manager(const ModelBed& bed, std::size_t num_sessions,
   m.start();
   for (std::uint32_t u = 0; u < num_sessions; ++u) {
     for (const FluxEvent& e : bed.session_events(u, 8)) {
-      m.push(e);
+      m.offer(e);
     }
   }
   m.finish();
@@ -166,7 +166,7 @@ TEST(ModelStreaming, EqualTimestampDuplicatesFoldIdenticallyAcrossWorkers) {
     m.add_session(0, bed.tracker(1000));
     m.start();
     for (const FluxEvent& e : with_dups) {
-      m.push(e);
+      m.offer(e);
     }
     m.finish();
     std::vector<std::tuple<std::uint32_t, double, double>> fired;

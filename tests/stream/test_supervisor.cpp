@@ -90,7 +90,7 @@ Fired run_plain(const Bed& bed, std::size_t num_sessions,
   auto m = bed.factory(num_sessions, workers)();
   m->start();
   for (const FluxEvent& e : events) {
-    m->push(e);
+    m->offer(e);
   }
   m->finish();
   Fired fired(num_sessions);

@@ -18,7 +18,7 @@ cp -r "$ROOT/src" "$TMP/src"
 
 # Baseline: the pristine tree must be clean, or every strip "fails" for
 # free and the smoke proves nothing.
-if ! "$LINT" --root "$TMP" --no-cache --rule guarded-member src \
+if ! "$LINT" --root "$TMP" --rule guarded-member src \
     > "$TMP/baseline.out" 2>&1; then
   echo "guard_strip_smoke: pristine tree is not clean:" >&2
   cat "$TMP/baseline.out" >&2
@@ -51,7 +51,7 @@ for f in src/stream/event_queue.hpp src/netio/server.hpp; do
         seen = c
         print outline line
       }' "$ROOT/$f" > "$TMP/$f"
-    out=$("$LINT" --root "$TMP" --no-cache --rule guarded-member src 2>&1)
+    out=$("$LINT" --root "$TMP" --rule guarded-member src 2>&1)
     rc=$?
     if [ "$rc" -eq 0 ] || ! printf '%s' "$out" | grep -q guarded-member; then
       echo "guard_strip_smoke: stripping occurrence $k from $f was NOT" \

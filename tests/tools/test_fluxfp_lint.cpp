@@ -5,7 +5,6 @@
 // exact `file:line: rule` output and exit codes.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -177,6 +176,19 @@ TEST(NoRawThread, StreamRuntimeIsSanctioned) {
   EXPECT_EQ(r.exit_code, kClean) << r.output;
 }
 
+TEST(NoRawThread, ByteIdenticalFilesAreJudgedByTheirOwnPaths) {
+  // The twins differ only in where they live: one run over both must
+  // flag the src/sim copy and nothing else.
+  const RunResult r = run_lint(
+      fixture_args("src/netio/thread_twin.cpp src/sim/thread_twin.cpp"));
+  EXPECT_EQ(r.exit_code, kViolations) << r.output;
+  EXPECT_TRUE(has_line_starting(
+      r, "src/sim/thread_twin.cpp:9: no-raw-thread:"))
+      << r.output;
+  EXPECT_NE(r.output.find("2 files, 1 violations"), std::string::npos)
+      << r.output;
+}
+
 // ---------------------------------------------------------------------------
 // pool-serial-guard
 // ---------------------------------------------------------------------------
@@ -292,7 +304,7 @@ TEST(NoRawSockets, MemberCallsAndQualifiedNamesAreClean) {
 TEST(Cli, WholeFixtureTreeReportsEveryViolation) {
   const RunResult r = run_lint(fixture_args("src"));
   EXPECT_EQ(r.exit_code, kViolations) << r.output;
-  EXPECT_NE(r.output.find("34 violations"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("35 violations"), std::string::npos) << r.output;
 }
 
 TEST(Cli, RuleFilterNarrowsFindings) {
@@ -451,50 +463,6 @@ TEST(Lexer, RawStringOpenerAtEofDoesNotCrash) {
   const RunResult r =
       run_lint(fixture_args("src/core/lexer_unterminated_ok.cpp"));
   EXPECT_EQ(r.exit_code, kClean) << r.output;
-}
-
-// ---------------------------------------------------------------------------
-// incremental cache
-// ---------------------------------------------------------------------------
-
-TEST(Cache, SecondRunIsByteIdenticalAndPopulatesCacheFile) {
-  const std::string cache_path =
-      std::string(::testing::TempDir()) + "fluxfp_lint_cache_test_" +
-      std::to_string(::getpid());
-  std::remove(cache_path.c_str());
-  const std::string args =
-      fixture_args("--cache-file " + cache_path + " src");
-  const RunResult cold = run_lint(args);
-  const RunResult warm = run_lint(args);
-  EXPECT_EQ(cold.exit_code, kViolations) << cold.output;
-  EXPECT_EQ(warm.exit_code, cold.exit_code);
-  EXPECT_EQ(warm.output, cold.output)
-      << "cache hit must reproduce the cold run byte for byte";
-  FILE* f = std::fopen(cache_path.c_str(), "r");
-  ASSERT_NE(f, nullptr) << "cache file was not written";
-  std::fclose(f);
-  // A poisoned cache must be ignored, not trusted.
-  f = std::fopen(cache_path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a cache\n", f);
-  std::fclose(f);
-  const RunResult repaired = run_lint(args);
-  EXPECT_EQ(repaired.output, cold.output) << repaired.output;
-  std::remove(cache_path.c_str());
-}
-
-TEST(Cache, NoCacheFlagMatchesCachedOutput) {
-  const RunResult uncached = run_lint(fixture_args("--no-cache src"));
-  const std::string cache_path =
-      std::string(::testing::TempDir()) + "fluxfp_lint_nocache_test_" +
-      std::to_string(::getpid());
-  std::remove(cache_path.c_str());
-  const std::string args =
-      fixture_args("--cache-file " + cache_path + " src");
-  run_lint(args);  // populate
-  const RunResult warm = run_lint(args);
-  EXPECT_EQ(warm.output, uncached.output);
-  std::remove(cache_path.c_str());
 }
 
 }  // namespace

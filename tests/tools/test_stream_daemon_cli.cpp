@@ -1,8 +1,9 @@
 // CLI contract of the stream_daemon binary: every argument-parsing
 // failure — unknown subcommand, unknown flag, missing value, non-numeric
 // value, missing positional — exits 2 through the single usage_error path
-// with a one-line diagnostic plus the brief usage; --help exits 0. These
-// run the real binary (path injected by CMake) so the contract covers the
+// with a one-line diagnostic plus the brief usage; --help exits 0. The
+// fluxfp_loadgen client shares the numeric-flag contract. These run the
+// real binaries (paths injected by CMake) so the contract covers the
 // actual main(), not a reimplementation.
 
 #include <gtest/gtest.h>
@@ -11,8 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#ifndef STREAM_DAEMON_BIN
-#error "STREAM_DAEMON_BIN must be defined by the build"
+#if !defined(STREAM_DAEMON_BIN) || !defined(LOADGEN_BIN)
+#error "STREAM_DAEMON_BIN and LOADGEN_BIN must be defined by the build"
 #endif
 
 namespace {
@@ -22,9 +23,8 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-RunResult run_daemon(const std::string& args) {
-  const std::string cmd =
-      std::string(STREAM_DAEMON_BIN) + " " + args + " 2>&1";
+RunResult run(const char* bin, const std::string& args) {
+  const std::string cmd = std::string(bin) + " " + args + " 2>&1";
   RunResult res;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
@@ -42,10 +42,16 @@ RunResult run_daemon(const std::string& args) {
   return res;
 }
 
-void expect_usage_error(const std::string& args, const std::string& needle) {
-  const RunResult res = run_daemon(args);
+RunResult run_daemon(const std::string& args) {
+  return run(STREAM_DAEMON_BIN, args);
+}
+
+void expect_usage_error(const std::string& args, const std::string& needle,
+                        const char* bin = STREAM_DAEMON_BIN,
+                        const std::string& tool = "stream_daemon") {
+  const RunResult res = run(bin, args);
   EXPECT_EQ(res.exit_code, 2) << args << "\n" << res.output;
-  EXPECT_NE(res.output.find("stream_daemon:"), std::string::npos)
+  EXPECT_NE(res.output.find(tool + ":"), std::string::npos)
       << args << "\n" << res.output;
   EXPECT_NE(res.output.find("usage:"), std::string::npos)
       << args << "\n" << res.output;
@@ -56,7 +62,7 @@ void expect_usage_error(const std::string& args, const std::string& needle) {
 TEST(StreamDaemonCli, HelpExitsZeroAndListsSubcommands) {
   const RunResult res = run_daemon("--help");
   EXPECT_EQ(res.exit_code, 0) << res.output;
-  for (const char* sub : {"local", "serve", "replay-to", "query"}) {
+  for (const char* sub : {"local", "serve", "query"}) {
     EXPECT_NE(res.output.find(sub), std::string::npos) << res.output;
   }
   const RunResult help_word = run_daemon("help");
@@ -70,7 +76,6 @@ TEST(StreamDaemonCli, UnknownSubcommandExitsTwo) {
 TEST(StreamDaemonCli, UnknownFlagExitsTwoInEverySubcommand) {
   expect_usage_error("local --no-such-flag", "--no-such-flag");
   expect_usage_error("serve --bogus", "--bogus");
-  expect_usage_error("replay-to tcp:127.0.0.1:1 --bogus", "--bogus");
   expect_usage_error("query tcp:127.0.0.1:1 --bogus", "--bogus");
 }
 
@@ -86,10 +91,18 @@ TEST(StreamDaemonCli, NonNumericValueExitsTwoInsteadOfParsingAsZero) {
   expect_usage_error("local --rounds 3x", "--rounds");
   expect_usage_error("local --speed fast", "--speed");
   expect_usage_error("serve --queue-capacity -", "--queue-capacity");
+  // strtoull negates a leading '-' instead of failing: "-1" would be a
+  // 2^64-1 session count (an uncaught length_error, not a usage error).
+  expect_usage_error("local --sessions -1", "--sessions");
+}
+
+TEST(LoadgenCli, NegativeCountExitsTwoInsteadOfWrapping) {
+  // Rejected while parsing, before the missing trace is ever opened.
+  expect_usage_error("unix:/x --trace /nonexistent --connections -1",
+                     "--connections", LOADGEN_BIN, "fluxfp_loadgen");
 }
 
 TEST(StreamDaemonCli, ClientSubcommandsRequireAnAddress) {
-  expect_usage_error("replay-to", "ADDR");
   expect_usage_error("query", "ADDR");
 }
 

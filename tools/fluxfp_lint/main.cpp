@@ -34,12 +34,6 @@
 // suppression is tallied in the budget report, --suppression-budget N
 // fails the run if the total grows past N, and --expect-suppressions N
 // fails it when the tally drifts from N in either direction.
-//
-// Per-file results are cached by content hash (<root>/build/.fluxfp_lint_cache
-// when that build directory exists; --cache-file overrides, --no-cache
-// disables). Only per-file findings are cached — the lock-order rule is
-// global and recomputed every run — and cached output is byte-identical
-// to a cold run.
 
 #include <algorithm>
 #include <cstring>
@@ -48,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "cache.hpp"
 #include "lexer.hpp"
 #include "rules.hpp"
 
@@ -81,9 +74,8 @@ std::string to_display(const fs::path& p, const fs::path& root) {
 void usage(std::ostream& os) {
   os << "usage: fluxfp_lint [--root DIR] [--rule NAME]... "
         "[--suppression-budget N]\n"
-        "                   [--expect-suppressions N] [--cache-file PATH] "
-        "[--no-cache]\n"
-        "                   [--list-rules] PATH...\n"
+        "                   [--expect-suppressions N] [--list-rules] "
+        "PATH...\n"
         "Paths are files or directories, resolved relative to --root "
         "(default: cwd).\n";
 }
@@ -96,8 +88,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> only_rules;
   long suppression_budget = -1;
   long expect_suppressions = -1;
-  bool use_cache = true;
-  std::string cache_file;  // empty = default under <root>/build when present
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -109,10 +99,6 @@ int main(int argc, char** argv) {
       suppression_budget = std::strtol(argv[++i], nullptr, 10);
     } else if (arg == "--expect-suppressions" && i + 1 < argc) {
       expect_suppressions = std::strtol(argv[++i], nullptr, 10);
-    } else if (arg == "--cache-file" && i + 1 < argc) {
-      cache_file = argv[++i];
-    } else if (arg == "--no-cache") {
-      use_cache = false;
     } else if (arg == "--list-rules") {
       for (const std::string& r : rule_names()) {
         std::cout << r << '\n';
@@ -188,71 +174,16 @@ int main(int argc, char** argv) {
 
   // Pass 2: lock-scope walk over every function body, building the global
   // acquisition graph. Needs every class model, so it cannot fold into
-  // pass 1; feeds a global rule, so it runs on every file every time and
-  // is never cached.
+  // pass 1.
   for (const LexedFile& f : lexed) {
     collect_lock_graph(f, ctx);
   }
 
-  // Cache setup. The default location lives inside the build tree and is
-  // only used when that directory already exists — the linter never
-  // plants a build/ directory into a checkout on its own.
-  LintCache cache;
-  if (use_cache && cache_file.empty()) {
-    const fs::path candidate = root / "build";
-    std::error_code ec;
-    if (fs::is_directory(candidate, ec)) {
-      cache_file = (candidate / ".fluxfp_lint_cache").string();
-    } else {
-      use_cache = false;
-    }
-  }
-  if (use_cache) {
-    cache.load(cache_file);  // missing/corrupt cache = cold cache
-  }
-  const std::uint64_t ctx_digest = context_digest(ctx);
-
-  // Pass 3: per-file rules, cached by (content, context) key.
+  // Pass 3: per-file rules.
   std::vector<Violation> violations;
   SuppressionTally used;
-  bool cache_dirty = false;
   for (const LexedFile& f : lexed) {
-    const std::uint64_t key =
-        fnv1a(std::to_string(ctx_digest), file_content_key(f));
-    if (use_cache) {
-      if (const CachedFileResult* hit = cache.lookup(key)) {
-        for (const auto& fnd : hit->findings) {
-          violations.push_back(
-              Violation{f.path, fnd.line, fnd.rule, fnd.message});
-        }
-        for (const auto& [rule, count] : hit->used) {
-          used[rule] += count;
-        }
-        continue;
-      }
-    }
-    std::vector<Violation> file_violations;
-    SuppressionTally file_used;
-    check_file(f, ctx, file_violations, file_used);
-    if (use_cache) {
-      CachedFileResult entry;
-      for (const Violation& v : file_violations) {
-        entry.findings.push_back(
-            CachedFileResult::Finding{v.line, v.rule, v.message});
-      }
-      entry.used = file_used;
-      cache.store(key, std::move(entry));
-      cache_dirty = true;
-    }
-    for (Violation& v : file_violations) {
-      violations.push_back(std::move(v));
-    }
-    for (const auto& [rule, count] : file_used) {
-      used[rule] += count;
-    }
-  }
-  if (use_cache && cache_dirty) {
-    cache.save(cache_file);  // best effort; a failed save costs a re-lint
+    check_file(f, ctx, violations, used);
   }
 
   // Global rules: lock-order over the graph pass 2 built. Runs before the

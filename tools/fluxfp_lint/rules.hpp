@@ -110,7 +110,7 @@ void check_file(const LexedFile& file, const GlobalCtx& ctx,
 
 /// Global rules (lock-order): resolve the lock graph accumulated by
 /// collect_lock_graph, reject acquisition cycles, and pin the documented
-/// canonical order. Runs once per invocation, never cached.
+/// canonical order. Runs once per invocation.
 void check_global(const GlobalCtx& ctx, std::vector<Violation>& out,
                   SuppressionTally& used);
 

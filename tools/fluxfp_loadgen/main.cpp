@@ -20,6 +20,7 @@
 // error frames, and (kBlock servers) processed == accepted, or exit 1.
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -71,7 +72,10 @@ std::uint64_t parse_u64(const char* flag, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+  // strtoull skips blanks and negates a leading '-' without ERANGE ("-1"
+  // would parse as 2^64-1), so the text must start with a digit.
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE) {
     usage_error(std::string(flag) + " needs a non-negative integer, got '" +
                 text + "'");
   }
