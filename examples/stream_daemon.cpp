@@ -36,7 +36,6 @@
 
 #include "core/flux_model.hpp"
 #include "eval/experiment.hpp"
-#include "eval/metrics.hpp"
 #include "geom/field.hpp"
 #include "netio/client.hpp"
 #include "netio/server.hpp"
@@ -385,6 +384,7 @@ int run_local(int argc, char** argv, int first) {
   std::optional<stream::ReplayPacer> pacer;
   stream::FluxEvent event;
   bool trace_ok = true;
+  const auto replay_start = std::chrono::steady_clock::now();
   while (!g_stop && replayer.try_next(event)) {
     if (speed > 0.0) {
       if (!pacer) {
@@ -412,6 +412,10 @@ int run_local(int argc, char** argv, int first) {
     std::puts("\nsignal received: draining...");
   }
   supervisor.finish();
+  const double replay_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    replay_start)
+                                    .count();
   if (!checkpoint_path.empty()) {
     // finish() wrote the final post-flush snapshot; record its coverage.
     write_pos_file(checkpoint_path + ".pos", skip + offered);
@@ -428,7 +432,11 @@ int run_local(int argc, char** argv, int first) {
               "(%.0f events/s)\n",
               static_cast<unsigned long long>(offered),
               speed <= 0.0 ? "max speed" : "paced speed", manager->workers(),
-              stats.wall_seconds, stats.events_per_second);
+              replay_seconds,
+              replay_seconds > 0.0
+                  ? static_cast<double>(stats.events_processed) /
+                        replay_seconds
+                  : 0.0);
   if (pacer && pacer->max_behind_seconds() > 0.0) {
     std::printf("pacing: worst lag behind schedule %.1f ms\n",
                 1e3 * pacer->max_behind_seconds());
@@ -438,12 +446,8 @@ int run_local(int argc, char** argv, int first) {
               static_cast<unsigned long long>(sstats.checkpoint_bytes),
               checkpoint_path.empty() ? "" : ", persisted to ",
               checkpoint_path.c_str());
-  const eval::LatencySummary lat =
-      eval::summarize_latencies(stats.filter_micros);
-  std::printf("epochs fired: %llu, filter latency us: p50 %.0f  p99 %.0f  "
-              "max %.0f\n",
-              static_cast<unsigned long long>(stats.epochs_fired), lat.p50,
-              lat.p99, lat.max);
+  std::printf("epochs fired: %llu (filter latency histogram: --metrics)\n",
+              static_cast<unsigned long long>(stats.epochs_fired));
 
   std::puts("\nsession  epochs  dup  late  forced  mean-err");
   for (std::size_t s = 0; s < sessions; ++s) {

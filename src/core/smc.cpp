@@ -246,8 +246,12 @@ SmcStepResult SmcTracker::step(double time,
   };
   for (std::size_t j = 0; j < k; ++j) {
     const double dt = std::max(time - t_last_[j], 0.0);
+    // inf - inf (an unbounded timestamp after another) is NaN, which
+    // std::clamp passes through: treat it as unbounded motion, like inf.
     const double radius =
-        std::clamp(config_.vmax * dt, 1e-6, field_->diameter());
+        std::isnan(dt)
+            ? field_->diameter()
+            : std::clamp(config_.vmax * dt, 1e-6, field_->diameter());
     const std::span<double> weights_scratch =
         arena.alloc<double>(particles_[j].size());
     predict(j, radius, rng, weights_scratch, predictions(j));

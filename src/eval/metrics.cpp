@@ -4,10 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "net/flux.hpp"
 #include "numeric/hungarian.hpp"
 #include "numeric/stats.hpp"
-#include "obs/instrument.hpp"
 
 namespace fluxfp::eval {
 
@@ -45,32 +43,6 @@ double matched_max_error(std::span<const geom::Vec2> estimates,
                          std::span<const geom::Vec2> truths) {
   const std::vector<double> errors = matched_errors(estimates, truths);
   return numeric::max_value(errors);
-}
-
-LatencySummary summarize_latencies(std::span<const double> samples) {
-  // A kMissingReading that leaks into a latency feed is NaN: it would
-  // poison the percentile sort and propagate into mean/max. Summarize the
-  // finite subset and report how much was dropped.
-  std::vector<double> finite;
-  finite.reserve(samples.size());
-  for (double v : samples) {
-    if (!net::is_missing(v)) {
-      finite.push_back(v);
-    }
-  }
-  FLUXFP_OBS_COUNTER_ADD("fluxfp_eval_latency_nan_dropped_total",
-                         "NaN samples dropped from latency summaries",
-                         samples.size() - finite.size());
-  LatencySummary s;
-  s.count = finite.size();
-  if (finite.empty()) {
-    return s;
-  }
-  s.mean = numeric::mean(finite);
-  s.p50 = numeric::percentile(finite, 0.5);
-  s.p99 = numeric::percentile(finite, 0.99);
-  s.max = numeric::max_value(finite);
-  return s;
 }
 
 ErrorSummary summarize(std::span<const double> errors) {

@@ -37,19 +37,4 @@ struct ErrorSummary {
 
 ErrorSummary summarize(std::span<const double> errors);
 
-/// Tail-latency summary of a per-operation cost sample (the streaming
-/// runtime reports per-epoch filter latencies through this). Unit-agnostic;
-/// zeroed for an empty sample. NaN samples (a missing-reading sentinel
-/// leaking into a latency feed) are dropped before summarizing — `count` is
-/// the number of finite samples actually ranked.
-struct LatencySummary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-LatencySummary summarize_latencies(std::span<const double> samples);
-
 }  // namespace fluxfp::eval

@@ -1,11 +1,11 @@
 #include "stream/checkpoint.hpp"
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 namespace fluxfp::stream {
@@ -136,7 +136,6 @@ class ByteReader {
 
 void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
   w.u32(s.user);
-  w.u32(s.num_users);
   w.u64(s.sniffer_nodes.size());
   for (const std::uint64_t node : s.sniffer_nodes) {
     w.u64(node);
@@ -162,7 +161,6 @@ void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
   for (const WindowState& ws : st.open) {
     w.u32(ws.epoch);
     w.f64(ws.newest_time);
-    w.u64(ws.seen_count);
     w.u64(ws.readings.size());
     for (const double r : ws.readings) {
       w.f64(r);
@@ -173,7 +171,6 @@ void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
   }
   w.f64(st.now);
   w.f64(st.last_step_time);
-  w.u8(st.fired_any ? 1 : 0);
   w.u32(st.last_fired_epoch);
   const StreamStats& ss = st.stats;
   w.u64(ss.events);
@@ -183,14 +180,10 @@ void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
   w.u64(ss.unknown_node);
   w.u64(ss.epochs_fired);
   w.u64(ss.forced_closes);
-  w.u64(ss.filter_micros.size());
-  for (const double m : ss.filter_micros) {
-    w.f64(m);
-  }
 }
 
 bool decode_session(ByteReader& r, SessionCheckpoint& s) {
-  if (!r.u32(s.user) || !r.u32(s.num_users)) {
+  if (!r.u32(s.user)) {
     return false;
   }
   std::uint64_t n = 0;
@@ -238,14 +231,14 @@ bool decode_session(ByteReader& r, SessionCheckpoint& s) {
     return r.fail("bad_rounds out of range");
   }
   st.smc.bad_rounds = static_cast<int>(bad_rounds);
-  if (!r.count(n, 28)) {
+  if (!r.count(n, 20)) {
     return false;
   }
   st.open.resize(static_cast<std::size_t>(n));
   for (WindowState& ws : st.open) {
     std::uint64_t slots = 0;
     if (!r.u32(ws.epoch) || !r.f64(ws.newest_time) ||
-        !r.u64(ws.seen_count) || !r.count(slots, 9)) {
+        !r.count(slots, 9)) {
       return false;
     }
     ws.readings.resize(static_cast<std::size_t>(slots));
@@ -266,31 +259,14 @@ bool decode_session(ByteReader& r, SessionCheckpoint& s) {
       ws.seen[i] = bit != 0;
     }
   }
-  std::uint8_t fired = 0;
-  if (!r.f64(st.now) || !r.f64(st.last_step_time) || !r.u8(fired) ||
+  if (!r.f64(st.now) || !r.f64(st.last_step_time) ||
       !r.u32(st.last_fired_epoch)) {
     return false;
   }
-  if (fired > 1) {
-    return r.fail("fired_any flag is neither 0 nor 1");
-  }
-  st.fired_any = fired != 0;
   StreamStats& ss = st.stats;
-  if (!r.u64(ss.events) || !r.u64(ss.duplicates) || !r.u64(ss.late) ||
-      !r.u64(ss.out_of_order) || !r.u64(ss.unknown_node) ||
-      !r.u64(ss.epochs_fired) || !r.u64(ss.forced_closes)) {
-    return false;
-  }
-  if (!r.count(n, 8)) {
-    return false;
-  }
-  ss.filter_micros.resize(static_cast<std::size_t>(n));
-  for (double& m : ss.filter_micros) {
-    if (!r.f64(m)) {
-      return false;
-    }
-  }
-  return true;
+  return r.u64(ss.events) && r.u64(ss.duplicates) && r.u64(ss.late) &&
+         r.u64(ss.out_of_order) && r.u64(ss.unknown_node) &&
+         r.u64(ss.epochs_fired) && r.u64(ss.forced_closes);
 }
 
 void pack_u32(char* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
@@ -323,7 +299,6 @@ std::string CheckpointError::to_string() const {
 
 std::string encode_checkpoint(const ManagerCheckpoint& cp) {
   ByteWriter w;
-  w.u32(cp.workers);
   w.u64(cp.sessions.size());
   for (const SessionCheckpoint& s : cp.sessions) {
     encode_session(w, s);
@@ -337,16 +312,6 @@ std::string encode_checkpoint(const ManagerCheckpoint& cp) {
   pack_u64(header + 16, image.size());
   image.insert(0, header, sizeof(header));
   return image;
-}
-
-std::uint64_t write_checkpoint(std::ostream& os,
-                               const ManagerCheckpoint& cp) {
-  const std::string image = encode_checkpoint(cp);
-  os.write(image.data(), static_cast<std::streamsize>(image.size()));
-  if (!os) {
-    throw std::runtime_error("write_checkpoint: stream write failed");
-  }
-  return image.size();
 }
 
 std::optional<CheckpointError> read_checkpoint(std::istream& is,
@@ -400,7 +365,7 @@ std::optional<CheckpointError> read_checkpoint(std::istream& is,
   ManagerCheckpoint cp;
   ByteReader r(payload);
   std::uint64_t sessions = 0;
-  bool decoded = r.u32(cp.workers) && r.count(sessions, 16);
+  bool decoded = r.count(sessions, 16);
   if (decoded) {
     cp.sessions.resize(static_cast<std::size_t>(sessions));
     for (SessionCheckpoint& s : cp.sessions) {
@@ -425,13 +390,16 @@ std::optional<CheckpointError> read_checkpoint(std::istream& is,
   return std::nullopt;
 }
 
-std::uint64_t write_checkpoint_file(const std::string& path,
-                                    const ManagerCheckpoint& cp) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    throw std::runtime_error("write_checkpoint_file: cannot open " + path);
+void write_checkpoint_file(const std::string& path,
+                           const std::string& image) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
+  os.close();  // a buffered write can fail as late as the final flush
+  if (!os || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write_checkpoint_file: cannot write " + path);
   }
-  return write_checkpoint(os, cp);
 }
 
 std::optional<CheckpointError> read_checkpoint_file(const std::string& path,

@@ -13,39 +13,43 @@ namespace fluxfp::stream {
 /// FLUXFPC1 — versioned binary snapshot of a tracking service: every
 /// session's complete mutable state (SMC particles and weights, RNG stream
 /// position, open epoch windows, virtual-time cursors, ingestion counters)
-/// plus the shard layout hint. A service rebuilt from a checkpoint folds
-/// every subsequent event bit-identically to one that never stopped.
+/// and nothing else — no wall-clock telemetry, no worker layout, no value
+/// restore can derive. An image is therefore a pure function of the
+/// accepted events: equivalent runs (any worker count, any crash/restore
+/// history) write byte-identical images. A service rebuilt from a
+/// checkpoint folds every subsequent event bit-identically to one that
+/// never stopped.
 ///
 /// Fixed 24-byte header:
 ///   bytes 0..7   magic "FLUXFPC1"
-///   bytes 8..11  u32 version (1)
+///   bytes 8..11  u32 version (2)
 ///   bytes 12..15 u32 CRC-32 (IEEE 802.3, reflected) of the payload bytes
 ///   bytes 16..23 u64 payload byte count
 /// The payload is raw host-endian bytes (memcpy, like FLUXFPT1), so f64
 /// fields — readings, weights, timestamps — round-trip BIT-exactly,
 /// including the NaN payload of net::kMissingReading. The CRC guards
 /// against torn writes and bit rot: a checkpoint either decodes whole or
-/// is rejected with a typed error, never half-applied.
+/// is rejected with a typed error, never half-applied. Other versions are
+/// refused with Kind::kBadVersion.
 inline constexpr char kCheckpointMagic[8] = {'F', 'L', 'U', 'X',
                                              'F', 'P', 'C', '1'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr std::size_t kCheckpointHeaderBytes = 24;
 
-/// One session's snapshot. `sniffer_nodes` and `num_users` echo the
-/// construction inputs so restore can reject a checkpoint taken against a
-/// different deployment instead of silently poisoning the filter.
+/// One session's snapshot. `sniffer_nodes` echoes a construction input so
+/// restore can reject a checkpoint taken against a different deployment
+/// instead of silently poisoning the filter (the user count is checked
+/// against state.smc.users).
 struct SessionCheckpoint {
   std::uint32_t user = 0;
-  std::uint32_t num_users = 1;
   std::vector<std::uint64_t> sniffer_nodes;
   StreamTrackerState state;
 };
 
-/// A whole service snapshot, sessions in registration order. `workers` is
-/// a layout hint only — restoring under a different worker count is legal
-/// and bit-identical (sessions own their RNG and event order).
+/// A whole service snapshot, sessions in registration order. Restoring
+/// under any worker count is legal and bit-identical (sessions own their
+/// RNG and event order), so the layout is not recorded.
 struct ManagerCheckpoint {
-  std::uint32_t workers = 1;
   std::vector<SessionCheckpoint> sessions;
 };
 
@@ -75,11 +79,6 @@ struct CheckpointError {
 /// stream round-trip.
 std::string encode_checkpoint(const ManagerCheckpoint& cp);
 
-/// Serializes a snapshot. Returns the total bytes written (header +
-/// payload). Throws std::runtime_error when the stream rejects a write —
-/// an I/O failure, not a format condition, so it stays an exception.
-std::uint64_t write_checkpoint(std::ostream& os, const ManagerCheckpoint& cp);
-
 /// Decodes a snapshot. On success returns std::nullopt and fills `out`;
 /// on any malformation — truncation, corruption, garbage — returns the
 /// typed error and leaves `out` unspecified. Never throws on bad input and
@@ -88,10 +87,14 @@ std::uint64_t write_checkpoint(std::ostream& os, const ManagerCheckpoint& cp);
 std::optional<CheckpointError> read_checkpoint(std::istream& is,
                                                ManagerCheckpoint& out);
 
-/// File conveniences. An unopenable file reports Kind::kBadStream; the
-/// writer throws std::runtime_error like write_checkpoint.
-std::uint64_t write_checkpoint_file(const std::string& path,
-                                    const ManagerCheckpoint& cp);
+/// Atomically replaces `path` with an encoded image: writes `path`.tmp, then
+/// renames it over `path`, so a failed write (full disk, size limit,
+/// crash mid-write) leaves the previous file intact. Throws
+/// std::runtime_error when the image cannot be written; an I/O failure,
+/// not a format condition, so it stays an exception.
+void write_checkpoint_file(const std::string& path, const std::string& image);
+
+/// Reads and decodes a file; an unopenable file reports Kind::kBadStream.
 std::optional<CheckpointError> read_checkpoint_file(const std::string& path,
                                                     ManagerCheckpoint& out);
 

@@ -92,7 +92,6 @@ void TrackerManager::start() {
     }
   }
 #endif
-  start_time_ = std::chrono::steady_clock::now();
   threads_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
@@ -265,12 +264,10 @@ void TrackerManager::quiesce() {
 ManagerCheckpoint TrackerManager::checkpoint() {
   quiesce();  // no-op unless running
   ManagerCheckpoint cp;
-  cp.workers = static_cast<std::uint32_t>(config_.workers);
   cp.sessions.reserve(sessions_.size());
   for (const Session& s : sessions_) {
     SessionCheckpoint sc;
     sc.user = s.user;
-    sc.num_users = static_cast<std::uint32_t>(s.tracker.num_users());
     const std::vector<std::size_t>& nodes = s.tracker.sniffer_nodes();
     sc.sniffer_nodes.assign(nodes.begin(), nodes.end());
     sc.state = s.tracker.save_state();
@@ -308,7 +305,7 @@ void TrackerManager::restore(const ManagerCheckpoint& cp) {
                    [](std::size_t a, std::uint64_t b) {
                      return static_cast<std::uint64_t>(a) == b;
                    });
-    if (!nodes_match || sc.num_users != t.num_users()) {
+    if (!nodes_match || sc.state.smc.users.size() != t.num_users()) {
       throw std::invalid_argument(
           "TrackerManager: checkpoint session does not match the "
           "registered deployment (sniffer set or user count)");
@@ -339,9 +336,6 @@ void TrackerManager::finish() {
     t.join();
   }
   finished_.store(true, std::memory_order_relaxed);
-  const auto end = std::chrono::steady_clock::now();
-  final_stats_.wall_seconds =
-      std::chrono::duration<double>(end - start_time_).count();
   for (const auto& q : queues_) {
     const QueueStats qs = q->stats();
     final_stats_.events_routed += qs.pushed;
@@ -372,17 +366,8 @@ void TrackerManager::finish() {
     final_stats_.events_shed = shed;
   }
   for (const Session& s : sessions_) {
-    const StreamStats& st = s.tracker.stats();
-    final_stats_.epochs_fired += st.epochs_fired;
-    final_stats_.filter_micros.insert(final_stats_.filter_micros.end(),
-                                      st.filter_micros.begin(),
-                                      st.filter_micros.end());
+    final_stats_.epochs_fired += s.tracker.stats().epochs_fired;
   }
-  final_stats_.events_per_second =
-      final_stats_.wall_seconds > 0.0
-          ? static_cast<double>(final_stats_.events_processed) /
-                final_stats_.wall_seconds
-          : 0.0;
 }
 
 std::vector<std::uint32_t> TrackerManager::users() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -76,11 +75,6 @@ struct ManagerStats {
   std::uint64_t events_evicted = 0;    ///< displaced by a higher priority
   std::uint64_t unknown_user = 0;      ///< offers for unregistered sessions
   std::uint64_t epochs_fired = 0;
-  double wall_seconds = 0.0;           ///< start() -> finish(), wall-clock
-  double events_per_second = 0.0;      ///< processed / wall_seconds
-  /// Per fired epoch, wall-clock filtering cost, merged across sessions in
-  /// registration order (feed to eval::summarize_latencies for p50/p99).
-  std::vector<double> filter_micros;
 };
 
 /// Shards many concurrent tracking sessions across worker threads: each
@@ -143,10 +137,10 @@ class TrackerManager {
   /// Restores a checkpoint into the registered sessions — only before
   /// start(). Each checkpointed session must match a registered session
   /// (same user, sniffer nodes, and user count), and every registered
-  /// session must be covered; the worker count may differ (results stay
-  /// bit-identical — the layout hint is ignored). Throws
-  /// std::invalid_argument on any mismatch, std::logic_error after
-  /// start().
+  /// session must be covered; the worker count is free (results stay
+  /// bit-identical). These matches are checked for every session before
+  /// any is applied. Throws std::invalid_argument on any mismatch,
+  /// std::logic_error after start().
   void restore(const ManagerCheckpoint& cp);
 
   /// Closes the ingest queues, wakes any producer blocked on a queue or a
@@ -211,7 +205,6 @@ class TrackerManager {
   /// paths, where a stale read degrades to kClosed, never to a race.
   std::atomic<bool> started_{false};   // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is thread creation, not this flag
   std::atomic<bool> finished_{false};  // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is the close/join handshake
-  std::chrono::steady_clock::time_point start_time_;
   ManagerStats final_stats_;
   std::atomic<std::uint64_t> unknown_user_{0};       // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
   std::atomic<std::uint64_t> epochs_fired_live_{0};  // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers

@@ -1,7 +1,6 @@
 #include "stream/stream_tracker.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 
@@ -97,7 +96,7 @@ std::vector<EpochResult> StreamTracker::on_event(const FluxEvent& event) {
     collect_ripe(fired);
     return fired;
   }
-  if (fired_any_ && event.epoch <= last_fired_epoch_) {
+  if (stats_.epochs_fired > 0 && event.epoch <= last_fired_epoch_) {
     // Straggler for a window that already fired: the filtering step it
     // missed cannot be revisited (the SMC has moved on), so count it and
     // drop it — the paper's asynchronous updating tolerates the slot
@@ -173,9 +172,9 @@ EpochResult StreamTracker::fire_oldest() {
   result.time = std::max(window.newest_time, last_step_time_ + bump);
 
   {
+    // The one record of filter cost; session state holds no clock values.
     FLUXFP_OBS_SPAN(step_span, "fluxfp_stream_epoch_filter_micros",
                     "Wall-clock cost of one epoch window's SMC step");
-    const auto t0 = std::chrono::steady_clock::now();
     // The sharing constructor: the model is shared, not cloned, so a
     // fired window costs one sites copy and no model copy.
     const core::SparseObjective objective(model_, sites_,
@@ -183,9 +182,6 @@ EpochResult StreamTracker::fire_oldest() {
                                           std::vector<bool>());
     result.readings = objective.sample_count();
     result.step = smc_.step(result.time, objective, rng_, epoch_arena_);
-    const auto t1 = std::chrono::steady_clock::now();
-    result.filter_micros =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
   }
 
   result.estimates.resize(smc_.num_users());
@@ -194,12 +190,10 @@ EpochResult StreamTracker::fire_oldest() {
   }
 
   last_step_time_ = result.time;
-  fired_any_ = true;
   last_fired_epoch_ = epoch;
   ++stats_.epochs_fired;
   FLUXFP_OBS_COUNTER_INC("fluxfp_stream_epochs_fired_total",
                          "Epoch windows fired through the SMC");
-  stats_.filter_micros.push_back(result.filter_micros);
   return result;
 }
 
@@ -218,14 +212,12 @@ StreamTrackerState StreamTracker::save_state() const {
     WindowState ws;
     ws.epoch = epoch;
     ws.newest_time = window.newest_time;
-    ws.seen_count = window.seen_count;
     ws.readings = window.readings;
     ws.seen = window.seen;
     state.open.push_back(std::move(ws));
   }
   state.now = now_;
   state.last_step_time = last_step_time_;
-  state.fired_any = fired_any_;
   state.last_fired_epoch = last_fired_epoch_;
   state.stats = stats_;
   return state;
@@ -235,8 +227,7 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
   const std::size_t slots = sniffer_nodes_.size();
   for (std::size_t i = 0; i < state.open.size(); ++i) {
     const WindowState& ws = state.open[i];
-    if (ws.readings.size() != slots || ws.seen.size() != slots ||
-        ws.seen_count > slots) {
+    if (ws.readings.size() != slots || ws.seen.size() != slots) {
       throw std::invalid_argument(
           "StreamTracker: snapshot window does not match this tracker's "
           "sniffer set");
@@ -263,13 +254,15 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
     Window w;
     w.readings = ws.readings;
     w.seen = ws.seen;
-    w.seen_count = ws.seen_count;
+    // Derived, not stored: the count is the window's set bits, so an
+    // image cannot carry a count that disagrees with them.
+    w.seen_count = static_cast<std::size_t>(
+        std::count(ws.seen.begin(), ws.seen.end(), true));
     w.newest_time = ws.newest_time;
     open_.emplace(ws.epoch, std::move(w));
   }
   now_ = state.now;
   last_step_time_ = state.last_step_time;
-  fired_any_ = state.fired_any;
   last_fired_epoch_ = state.last_fired_epoch;
   stats_ = state.stats;
 }

@@ -43,7 +43,6 @@ struct EpochResult {
   std::size_t readings = 0;  ///< live (non-missing) readings in the window
   core::SmcStepResult step;
   std::vector<geom::Vec2> estimates;  ///< per tracked slot, after the step
-  double filter_micros = 0.0;         ///< wall-clock cost of the step
 };
 
 /// Ingestion + filtering counters of one session.
@@ -56,15 +55,13 @@ struct StreamStats {
   std::uint64_t out_of_order = 0;
   std::uint64_t unknown_node = 0;  ///< events from nodes not in the set
   std::uint64_t epochs_fired = 0;
-  std::uint64_t forced_closes = 0;       ///< closed by max_open_epochs
-  std::vector<double> filter_micros;     ///< per fired epoch, wall-clock
+  std::uint64_t forced_closes = 0;  ///< closed by max_open_epochs
 };
 
 /// One open (not yet fired) epoch window in checkpoint form.
 struct WindowState {
   std::uint32_t epoch = 0;
   double newest_time = 0.0;
-  std::size_t seen_count = 0;
   std::vector<double> readings;  ///< per sniffer slot; NaN = missing
   std::vector<bool> seen;        ///< slot reported at least once
 };
@@ -72,10 +69,13 @@ struct WindowState {
 /// Complete mutable state of a StreamTracker — everything on_event() and
 /// flush() touch: the SMC filter state, the RNG stream position, every open
 /// epoch window, the virtual-time cursors, and the ingestion counters.
-/// Construction inputs (model, sniffer set, config, seed) are deliberately
-/// absent: a restore target must be built with the same inputs, and
-/// restore_state() validates only shapes. Serialized as FLUXFPC1 by
-/// stream/checkpoint.hpp.
+/// Nothing else: no wall-clock telemetry and no value derivable from the
+/// rest (a window's seen count is its set `seen` bits; "has any epoch
+/// fired" is stats.epochs_fired > 0), so equal event sequences give equal
+/// states. Construction inputs (model, sniffer set, config, seed) are
+/// deliberately absent: a restore target must be built with the same
+/// inputs, and restore_state() validates only shapes. Serialized as
+/// FLUXFPC1 by stream/checkpoint.hpp.
 struct StreamTrackerState {
   /// mt19937_64 engine state, text-serialized via operator<< — integral
   /// words, so the round-trip is exact.
@@ -84,8 +84,7 @@ struct StreamTrackerState {
   std::vector<WindowState> open;  ///< strictly ascending epoch order
   double now = 0.0;
   double last_step_time = 0.0;
-  bool fired_any = false;
-  std::uint32_t last_fired_epoch = 0;
+  std::uint32_t last_fired_epoch = 0;  ///< meaningful once an epoch fired
   StreamStats stats;
 };
 
@@ -206,7 +205,6 @@ class StreamTracker {
   std::map<std::uint32_t, Window> open_;  ///< epoch -> window, ordered
   double now_ = 0.0;          ///< newest event time seen (virtual clock)
   double last_step_time_ = 0.0;
-  bool fired_any_ = false;
   std::uint32_t last_fired_epoch_ = 0;
   StreamStats stats_;
 };

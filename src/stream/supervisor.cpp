@@ -1,7 +1,6 @@
 #include "stream/supervisor.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -144,12 +143,14 @@ void Supervisor::supervise() {
 }
 
 void Supervisor::commit_checkpoint(std::uint64_t epochs) {
-  ManagerCheckpoint cp = manager_->checkpoint();
-  commit_results();
-  image_ = encode_checkpoint(cp);
+  std::string image = encode_checkpoint(manager_->checkpoint());
+  // The durable copy goes first: if it throws, image_, committed_ and the
+  // journal still describe the previous checkpoint.
   if (!config_.checkpoint_path.empty()) {
-    write_image_file();
+    write_checkpoint_file(config_.checkpoint_path, image);
   }
+  commit_results();
+  image_ = std::move(image);
   // Everything up to the cut is durable now: the journal restarts empty
   // and the incident window closes.
   journal_.clear();
@@ -169,16 +170,6 @@ void Supervisor::commit_checkpoint(std::uint64_t epochs) {
         .set(static_cast<double>(image_.size()));
   }
 #endif
-}
-
-void Supervisor::write_image_file() const {
-  std::ofstream os(config_.checkpoint_path,
-                   std::ios::binary | std::ios::trunc);
-  os.write(image_.data(), static_cast<std::streamsize>(image_.size()));
-  if (!os) {
-    throw std::runtime_error("Supervisor: cannot write checkpoint file " +
-                             config_.checkpoint_path);
-  }
 }
 
 void Supervisor::commit_results() {
@@ -278,16 +269,9 @@ void Supervisor::finish() {
     return;
   }
   manager_->finish();
-  commit_results();
   // Final post-flush image: open windows have fired, so this is the
   // durable shutdown snapshot (what a daemon persists on SIGTERM).
-  image_ = encode_checkpoint(manager_->checkpoint());
-  stats_.checkpoint_bytes = image_.size();
-  if (!config_.checkpoint_path.empty()) {
-    write_image_file();
-  }
-  journal_.clear();
-  ++stats_.checkpoints;
+  commit_checkpoint(exact_epochs());
   finished_ = true;
 }
 

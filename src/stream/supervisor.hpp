@@ -58,8 +58,8 @@ struct SupervisorConfig {
   double backoff_factor = 2.0;
 
   /// When non-empty, every committed checkpoint is also written here as a
-  /// FLUXFPC1 file (the durable copy; the supervisor restores from its
-  /// in-memory image).
+  /// FLUXFPC1 file (the durable copy, replaced atomically; the supervisor
+  /// restores from its in-memory image).
   std::string checkpoint_path;
 
   /// Injected crash schedule over fired epochs (sim/faults.hpp). The
@@ -135,7 +135,9 @@ class Supervisor {
   /// journaled before this returns, so a later crash cannot lose them.
   /// While the shard is down (backoff), events for known users are
   /// deferred — journaled and reported kAccepted — and replayed at
-  /// restart; a supervisor that gave up reports kClosed.
+  /// restart; a supervisor that gave up reports kClosed. Throws
+  /// std::runtime_error when a boundary cannot write checkpoint_path; the
+  /// event stays journaled and the previous checkpoint authoritative.
   PushStatus offer(const FluxEvent& event);
 
   /// Drains the live shard until every accepted event has been folded —
@@ -186,14 +188,14 @@ class Supervisor {
   /// Quiesce, evaluate fault plan + health probe, then either kill the
   /// shard or commit a checkpoint. Requires a live shard.
   void supervise();
-  /// Commits a checkpoint of the (quiesced) live shard: results, encoded
-  /// image, optional file, journal truncation. `epochs` is the exact
-  /// fired-epoch total at the cut.
+  /// Commits a checkpoint of the (quiesced) live shard: encoded image,
+  /// optional file, results, journal truncation. `epochs` is the exact
+  /// fired-epoch total at the cut. A failed file write throws before
+  /// anything is committed, so the previous checkpoint stays
+  /// authoritative.
   void commit_checkpoint(std::uint64_t epochs);
   /// Appends the live shard's not-yet-committed results to committed_.
   void commit_results();
-  /// Writes image_ to config_.checkpoint_path (the durable copy).
-  void write_image_file() const;
   /// Kills the live shard and arms the backoff clock (or gives up).
   void crash_shard();
   void give_up();

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 
 namespace fluxfp::eval {
 namespace {
@@ -70,42 +69,6 @@ TEST(Metrics, SummarizeEmpty) {
   const ErrorSummary s = summarize(std::vector<double>{});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Metrics, SummarizeLatencies) {
-  std::vector<double> samples(100);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i] = static_cast<double>(99 - i);  // 99..0, unsorted input
-  }
-  const LatencySummary s = summarize_latencies(samples);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 49.5);
-  EXPECT_NEAR(s.p50, 49.5, 1e-12);
-  EXPECT_NEAR(s.p99, 98.01, 1e-9);
-  EXPECT_DOUBLE_EQ(s.max, 99.0);
-
-  const LatencySummary empty = summarize_latencies(std::vector<double>{});
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_DOUBLE_EQ(empty.p99, 0.0);
-}
-
-TEST(Metrics, SummarizeLatenciesDropsNanSamples) {
-  // A kMissingReading leaking into a latency feed is NaN; before the
-  // filter it silently corrupted the percentile sort (the result depended
-  // on where the NaNs sat). Only the finite subset {1,2,3,5} may count.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> samples{3.0, nan, 1.0, 2.0, nan, 5.0};
-  const LatencySummary s = summarize_latencies(samples);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.75);
-  EXPECT_DOUBLE_EQ(s.p50, 2.5);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-
-  const LatencySummary all_nan =
-      summarize_latencies(std::vector<double>{nan, nan});
-  EXPECT_EQ(all_nan.count, 0u);
-  EXPECT_DOUBLE_EQ(all_nan.p50, 0.0);
-  EXPECT_DOUBLE_EQ(all_nan.max, 0.0);
 }
 
 }  // namespace

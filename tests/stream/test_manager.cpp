@@ -214,14 +214,15 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
   EXPECT_EQ(stats.events_routed, accepted);
   EXPECT_EQ(stats.events_processed, accepted);
   EXPECT_GT(stats.epochs_fired, 0u);
-  EXPECT_EQ(stats.filter_micros.size(), stats.epochs_fired);
 
   std::uint64_t duplicates = 0;
   std::uint64_t late = 0;
+  std::uint64_t epochs = 0;
   for (std::uint32_t u = 0; u < kSessions; ++u) {
     const StreamStats& ss = m.session(u).stats();
     duplicates += ss.duplicates;
     late += ss.late;
+    epochs += ss.epochs_fired;
     // Most windows made it through despite the fault storm.
     EXPECT_GT(ss.epochs_fired, static_cast<std::uint64_t>(kRounds / 2));
     for (const EpochResult& r : m.results(u)) {
@@ -229,6 +230,7 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
       EXPECT_TRUE(std::isfinite(r.estimates[0].y));
     }
   }
+  EXPECT_EQ(stats.epochs_fired, epochs);
   // The deterministic fault plan exercised both anomaly paths.
   EXPECT_GT(duplicates, 0u);
   EXPECT_GT(late, 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -215,6 +217,44 @@ TEST(StreamTracker, GraphConvenienceCtorReadsPositions) {
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].estimates[0].x, b[0].estimates[0].x);
   EXPECT_EQ(a[0].estimates[0].y, b[0].estimates[0].y);
+}
+
+TEST(StreamTracker, UnboundedTimestampsKeepEstimatesFinite) {
+  // One hostile event time must not take the session down. After a +inf
+  // timestamp the next step's elapsed time is inf - inf = NaN; after
+  // DBL_MAX the strictly-increasing bump overflows to inf one step later
+  // and the NaN follows the step after that.
+  const Fixture fx;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::max()}) {
+    StreamTracker t = fx.tracker();
+    std::vector<EpochResult> fired;
+    const auto fold = [&] {
+      for (std::uint32_t epoch = 0; epoch < 8; ++epoch) {
+        for (std::size_t k = 0; k < fx.nodes.size(); ++k) {
+          const double time = epoch == 2 && k == 1
+                                  ? bad
+                                  : epoch + 0.1 * static_cast<double>(k);
+          const auto node = static_cast<std::uint32_t>(fx.nodes[k]);
+          for (EpochResult& r : t.on_event(
+                   ev(time, epoch, node, 0.25 * static_cast<double>(k + 1)))) {
+            fired.push_back(std::move(r));
+          }
+        }
+      }
+      for (EpochResult& r : t.flush()) {
+        fired.push_back(std::move(r));
+      }
+    };
+    EXPECT_NO_THROW(fold()) << "bad time " << bad;
+    EXPECT_EQ(fired.size(), 8u) << "bad time " << bad;
+    for (const EpochResult& r : fired) {
+      EXPECT_TRUE(std::isfinite(r.estimates[0].x)) << "epoch " << r.epoch;
+      EXPECT_TRUE(std::isfinite(r.estimates[0].y)) << "epoch " << r.epoch;
+    }
+    EXPECT_TRUE(std::isfinite(t.estimate(0).x));
+    EXPECT_TRUE(std::isfinite(t.estimate(0).y));
+  }
 }
 
 }  // namespace

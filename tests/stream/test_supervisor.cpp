@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <csignal>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -85,21 +90,33 @@ struct Bed {
 using Fired =
     std::vector<std::vector<std::tuple<std::uint32_t, double, double>>>;
 
-Fired run_plain(const Bed& bed, std::size_t num_sessions,
-                std::size_t workers, const std::vector<FluxEvent>& events) {
+/// An unsupervised manager fed `events` and finished.
+std::unique_ptr<TrackerManager> finished_plain(
+    const Bed& bed, std::size_t num_sessions, std::size_t workers,
+    const std::vector<FluxEvent>& events) {
   auto m = bed.factory(num_sessions, workers)();
   m->start();
   for (const FluxEvent& e : events) {
     m->offer(e);
   }
   m->finish();
+  return m;
+}
+
+Fired collect(const TrackerManager& m, std::size_t num_sessions) {
   Fired fired(num_sessions);
   for (std::uint32_t u = 0; u < num_sessions; ++u) {
-    for (const EpochResult& r : m->results(u)) {
+    for (const EpochResult& r : m.results(u)) {
       fired[u].emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
     }
   }
   return fired;
+}
+
+Fired run_plain(const Bed& bed, std::size_t num_sessions,
+                std::size_t workers, const std::vector<FluxEvent>& events) {
+  return collect(*finished_plain(bed, num_sessions, workers, events),
+                 num_sessions);
 }
 
 Fired collect(const Supervisor& sup, std::size_t num_sessions) {
@@ -212,7 +229,8 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   eplan.jitter = 0.3;
   events = sim::apply_event_faults(events, eplan);
 
-  const Fired plain = run_plain(bed, kSessions, 2, events);
+  const auto plain_manager = finished_plain(bed, kSessions, 2, events);
+  const Fired plain = collect(*plain_manager, kSessions);
 
   SupervisorConfig cfg;
   cfg.checkpoint_every_events = 32;
@@ -244,6 +262,68 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
     }
   }
   EXPECT_EQ(epochs, static_cast<std::uint64_t>(kSessions * kRounds));
+  // The image is a pure function of the accepted events: a dozen
+  // kill/restore cycles leave no trace in it.
+  EXPECT_EQ(sup.checkpoint_image(),
+            encode_checkpoint(plain_manager->checkpoint()));
+}
+
+TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
+  // A boundary whose file write fails (here: a file-size limit below the
+  // image size) must leave the last good file on disk and the in-memory
+  // image, committed results and journal at the previous cut, so a crash
+  // afterwards still recovers exactly.
+  const Bed bed;
+  const std::vector<FluxEvent> events = bed.merged_stream(1, 6, 61);
+  ASSERT_GT(events.size(), 40u);
+  const auto plain_manager = finished_plain(bed, 1, 1, events);
+
+  const std::string path = ::testing::TempDir() + "failed_write.ckpt";
+  SupervisorConfig cfg;
+  cfg.checkpoint_every_events = 16;
+  cfg.backoff_base = 0.0;
+  cfg.checkpoint_path = path;
+  Supervisor sup(bed.factory(1, 1), cfg);
+  sup.start();
+  const std::string baseline = sup.checkpoint_image();
+  ASSERT_GT(baseline.size(), 512u);
+
+  // Over-limit writes fail with EFBIG instead of raising SIGXFSZ.
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit capped = old_limit;
+  capped.rlim_cur = 512;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  std::size_t next = 0;
+  bool threw = false;
+  for (; next < events.size() && !threw; ++next) {
+    try {
+      sup.offer(events[next]);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(threw);
+  EXPECT_EQ(next, cfg.checkpoint_every_events);
+
+  std::ifstream file(path, std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, baseline);
+  EXPECT_EQ(sup.checkpoint_image(), baseline);
+
+  sup.inject_crash();
+  for (; next < events.size(); ++next) {
+    EXPECT_EQ(sup.offer(events[next]), PushStatus::kAccepted);
+  }
+  sup.finish();
+  EXPECT_EQ(sup.stats().restarts, 1u);
+  EXPECT_EQ(collect(sup, 1), collect(*plain_manager, 1));
+  EXPECT_EQ(sup.checkpoint_image(),
+            encode_checkpoint(plain_manager->checkpoint()));
 }
 
 TEST(Supervisor, HealthProbeForcesRestartFromLastGoodImage) {
