@@ -9,7 +9,11 @@
 #   FLUXFP_SIMD_KERNEL_DEFS   - compile definitions for kernels.cpp only
 #
 # FLUXFP_SIMD=OFF is the strict-determinism mode: the scalar backend
-# reproduces the pre-SIMD tree bit for bit (see DESIGN.md section 14).
+# reproduces the committed scalar-baseline fixture
+# (tests/core/testdata/smc_scalar_baseline.txt) bit for bit. The
+# rectangular-field shape has one scalar definition (rect_shape, 1 square
+# root and 2 divisions per pair) in kernels.cpp, so vector lanes equal the
+# scalar path by construction on every backend (see DESIGN.md section 14).
 # AUTO probes, in order, AVX2 then SSE2 then NEON with run tests, so a
 # baked baseline never selects an ISA the build host cannot execute.
 

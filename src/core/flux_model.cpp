@@ -33,11 +33,19 @@ double FluxModel::shape(geom::Vec2 sink, geom::Vec2 node) const {
       !std::isfinite(node.x) || !std::isfinite(node.y)) {
     throw std::invalid_argument("FluxModel::shape: non-finite position");
   }
-  const double d = geom::distance(sink, node);
   // Clamp the sink into the field (candidate positions may sit on the
-  // boundary within rounding); boundary_distance_through handles the
-  // degenerate node == sink ray internally.
-  const double l = field_->boundary_distance_through(field_->clamp(sink), node);
+  // boundary within rounding).
+  const geom::Vec2 p = field_->clamp(sink);
+  if (kind_ == FieldKind::kRect) {
+    // The one definition of the rect shape, shared with the SIMD lanes.
+    return numeric::simd::rect_shape(
+        sink.x, sink.y, p.x, p.y, rect_width_, rect_height_, d_min_,
+        field_->nearest_boundary_distance(p), node.x, node.y);
+  }
+  const double d = geom::distance(sink, node);
+  // boundary_distance_through handles the degenerate node == sink ray
+  // internally.
+  const double l = field_->boundary_distance_through(p, node);
   // l is measured from the sink through the node to the boundary, so for a
   // node inside the field l >= d; guard against clamping artifacts anyway.
   const double l2_minus_d2 = std::max(l * l - d * d, 0.0);

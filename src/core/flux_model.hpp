@@ -39,6 +39,9 @@ class FluxModel final : public ObservationModel {
 
   /// The unit-stretch "shape" phi(p, q) = (l^2 - d^2) / (2 max(d, d_min)).
   /// Multiply by s (continuous) or s/r (discrete) to get a flux amount.
+  /// On a RectField this is numeric::simd::rect_shape, the one definition
+  /// the SIMD lanes share (1 root, 2 divisions); other fields compose
+  /// distance() with Field::boundary_distance_through.
   /// Always >= 0 for q inside the field, and always finite: the d_min clamp
   /// caps the d -> 0 singularity at l^2 / (2 d_min) — the value returned
   /// for a node exactly at the sink. Throws std::invalid_argument on
@@ -51,9 +54,8 @@ class FluxModel final : public ObservationModel {
   /// false — leaving out in an unspecified state — when no vector backend
   /// is compiled in, the field is not a recognized Rect/Circle geometry,
   /// or any coordinate is non-finite; the caller must then run the scalar
-  /// shape() loop on the same buffer,
-  /// which preserves the exact legacy arithmetic and the throw on
-  /// non-finite positions. When it returns true, every out[i] is
+  /// shape() loop on the same buffer, which has the same arithmetic and
+  /// throws on non-finite positions. When it returns true, every out[i] is
   /// bit-identical to shape(sink, {qx[i], qy[i]}) (element-wise lanes, no
   /// reductions — see DESIGN.md section 14).
   bool shape_row(geom::Vec2 sink, const double* qx, const double* qy,

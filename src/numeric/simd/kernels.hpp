@@ -12,16 +12,21 @@
 //
 // Numeric contract (DESIGN.md §14):
 //  * In the scalar backend (FLUXFP_SIMD=OFF), dot()/dot_self_and_b()/
-//    scale_rows() run the exact legacy accumulation loops, and the shape
-//    kernels report "not handled" so callers take the pre-SIMD scalar
-//    path: a scalar build is bit-identical to the pre-SIMD tree. This is
+//    scale_rows() run the serial accumulation loops, and the shape kernels
+//    report "not handled" so callers take the scalar shape path. A scalar
+//    build reproduces the committed scalar-baseline fixture
+//    (tests/core/testdata/smc_scalar_baseline.txt) bit for bit. This is
 //    the strict-determinism mode.
-//  * In a vector backend, the shape kernels are element-wise over lanes
-//    with the same operation sequence as FluxModel::shape, so their
-//    outputs are bit-identical to the scalar formula; dot products use
-//    multi-lane accumulators, which changes the summation ORDER (not the
-//    inputs) — those results are equivalence-tested under a tolerance,
-//    never assumed bit-equal across backends.
+//  * The rectangular-field shape has ONE scalar definition, rect_shape()
+//    below, compiled in this TU: FluxModel::shape calls it, and
+//    rect_shape_row's lanes repeat its operation sequence, so lanes equal
+//    the scalar path by construction. It costs 1 square root and 2
+//    divisions per pair. The circle kernel is element-wise over lanes with
+//    the same operation sequence as FluxModel::shape's generic
+//    composition. Dot products use multi-lane accumulators, which changes
+//    the summation ORDER (not the inputs) — those results are
+//    equivalence-tested under a tolerance, never assumed bit-equal across
+//    backends.
 //  * Non-finite inputs (NaN missing-reading sentinels, inf) are detected
 //    via lane masks and make the shape kernels return false; out[] may
 //    hold partial results for the lane groups already processed. The
@@ -54,13 +59,25 @@ void dot_self_and_b(const double* x, const double* b, std::size_t n,
 /// out[i] *= scale[i] — the reweighted-objective row scaling.
 void scale_rows(double* out, const double* scale, std::size_t n);
 
-/// Rectangular-field shape row: out[i] = phi(sink, q_i) for the
-/// [0,width] x [0,height] field, where (sx, sy) is the raw sink,
-/// (px, py) = clamp(sink) and l_degenerate is the field's
-/// nearest-boundary distance at the clamped sink (the q == p ray
-/// fallback). Returns false — leaving out[] in an unspecified state — when
-/// the backend is scalar or any input coordinate is non-finite; the caller
-/// must then run the scalar FluxModel::shape loop.
+/// The rectangular-field shape phi(sink, q) = max(l^2 - d^2, 0) /
+/// (2 max(d, d_min)) for the [0,width] x [0,height] field: (sx, sy) is the
+/// raw sink, (px, py) = clamp(sink), and l_degenerate is the field's
+/// nearest-boundary distance at the clamped sink (used as l when q == p).
+/// With r = q - p and b_s the distance from p to the wall that r points
+/// at on axis s, the ray exits through the x slab when r_y == 0 or
+/// b_x |r_y| < b_y |r_x| (else y), and l^2 = b_s^2 + ((b_s / r_s) r_o)^2
+/// for the taken axis s and the other axis o; d^2 is used as is. One
+/// square root (for d) and two divisions. Inputs must be finite (callers
+/// check).
+double rect_shape(double sx, double sy, double px, double py, double width,
+                  double height, double d_min, double l_degenerate, double qx,
+                  double qy);
+
+/// Rectangular-field shape row: out[i] equals rect_shape() at the same
+/// row constants and (qx[i], qy[i]), bit for bit. Returns false — leaving
+/// out[] in an unspecified state — when the backend is scalar or any input
+/// coordinate is non-finite; the caller must then run the scalar
+/// FluxModel::shape loop.
 bool rect_shape_row(double sx, double sy, double px, double py, double width,
                     double height, double d_min, double l_degenerate,
                     const double* qx, const double* qy, std::size_t n,

@@ -77,6 +77,10 @@ inline DoubleVec max(DoubleVec a, DoubleVec b) {
 inline DoubleVec neg(DoubleVec a) {
   return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
 }
+/// Exact absolute value (sign-bit clear, like std::fabs).
+inline DoubleVec abs(DoubleVec a) {
+  return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
+}
 
 struct LaneMask {
   __m256d m;
@@ -93,6 +97,9 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 }
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {_mm256_and_pd(a.m, b.m)};
+}
+inline LaneMask mask_or(LaneMask a, LaneMask b) {
+  return {_mm256_or_pd(a.m, b.m)};
 }
 /// a where the mask lane is set, b elsewhere.
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
@@ -138,6 +145,9 @@ inline DoubleVec max(DoubleVec a, DoubleVec b) { return {_mm_max_pd(a.v, b.v)}; 
 inline DoubleVec neg(DoubleVec a) {
   return {_mm_xor_pd(a.v, _mm_set1_pd(-0.0))};
 }
+inline DoubleVec abs(DoubleVec a) {
+  return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
+}
 
 struct LaneMask {
   __m128d m;
@@ -154,6 +164,9 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 }
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {_mm_and_pd(a.m, b.m)};
+}
+inline LaneMask mask_or(LaneMask a, LaneMask b) {
+  return {_mm_or_pd(a.m, b.m)};
 }
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {_mm_or_pd(_mm_and_pd(mask.m, a.v), _mm_andnot_pd(mask.m, b.v))};
@@ -193,6 +206,7 @@ inline DoubleVec max(DoubleVec a, DoubleVec b) {
   return {vbslq_f64(vcgtq_f64(a.v, b.v), a.v, b.v)};
 }
 inline DoubleVec neg(DoubleVec a) { return {vnegq_f64(a.v)}; }
+inline DoubleVec abs(DoubleVec a) { return {vabsq_f64(a.v)}; }
 
 struct LaneMask {
   uint64x2_t m;
@@ -209,6 +223,9 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 }
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {vandq_u64(a.m, b.m)};
+}
+inline LaneMask mask_or(LaneMask a, LaneMask b) {
+  return {vorrq_u64(a.m, b.m)};
 }
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {vbslq_f64(mask.m, a.v, b.v)};
@@ -249,6 +266,7 @@ inline DoubleVec max(DoubleVec a, DoubleVec b) {
   return {a.v > b.v ? a.v : b.v};
 }
 inline DoubleVec neg(DoubleVec a) { return {-a.v}; }
+inline DoubleVec abs(DoubleVec a) { return {std::fabs(a.v)}; }
 
 struct LaneMask {
   bool m;
@@ -258,6 +276,7 @@ inline LaneMask cmp_gt(DoubleVec a, DoubleVec b) { return {a.v > b.v}; }
 inline LaneMask cmp_lt(DoubleVec a, DoubleVec b) { return {a.v < b.v}; }
 inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) { return {a.v == b.v}; }
 inline LaneMask mask_and(LaneMask a, LaneMask b) { return {a.m && b.m}; }
+inline LaneMask mask_or(LaneMask a, LaneMask b) { return {a.m || b.m}; }
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {mask.m ? a.v : b.v};
 }

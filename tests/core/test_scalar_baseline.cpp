@@ -1,11 +1,20 @@
-// Bit-exact regression against a committed pre-SIMD fixture: a 50-round
+// Bit-exact regression against a committed fixture: a 50-round
 // fault-injected two-user SMC run whose every estimate, residual, and final
-// particle was recorded (as C99 hexfloats) from the tree BEFORE the SIMD +
-// structure-of-arrays overhaul. In the scalar strict-determinism build
-// (FLUXFP_SIMD=OFF) the refactored tree must reproduce the fixture bit for
-// bit — the layout changes (SoA particles, arena scratch, padded column
-// blocks) are storage moves, not arithmetic changes. Vector builds change
-// dot-product summation order by design, so there the test skips.
+// particle is recorded as C99 hexfloats. In the scalar strict-determinism
+// build (FLUXFP_SIMD=OFF) the tree must reproduce the fixture bit for bit:
+// layout changes (SoA particles, arena scratch, padded column blocks) are
+// storage moves, not arithmetic changes. Vector builds change dot-product
+// summation order by design, so there the test skips.
+//
+// The fixture was first recorded from the tree before the SIMD +
+// structure-of-arrays overhaul. It was regenerated once, when the
+// rectangular-field shape moved from the unit-vector slab test (2 roots,
+// 5 divisions per pair) to the one-root, two-division formula of
+// numeric::simd::rect_shape: that rewrite rounds differently, so 215 of
+// the 320 values moved, by at most 3.7e-14 relative, while every
+// `recovered` flag, the bad-round count and both particle counts stayed
+// the same. One-user trackers now run a single filtering sweep, but this
+// run tracks two users, so that rule does not touch it.
 //
 // Regenerate tests/core/testdata/smc_scalar_baseline.txt only when a change
 // is SUPPOSED to alter scalar results; the writer is the loop below with

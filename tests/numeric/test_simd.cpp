@@ -161,6 +161,19 @@ TEST(SimdShapeRow, RectMatchesScalarShapeBitForBit) {
   check_shape_row(model, {30.0, 20.0}, in.qx, in.qy);    // far corner
   check_shape_row(model, {-4.0, 25.0}, in.qx, in.qy);    // outside: clamped
   check_shape_row(model, {15.0, -1e6}, in.qx, in.qy);    // far outside
+  // A node a denormal step past the clamped sink's edge or corner exits at
+  // once: l = 0 in every lane position, never 0 * inf = NaN.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const geom::Vec2 edge_rows[3][2] = {{{5.0, 0.0}, {6.0, -tiny}},
+                                      {{0.0, 5.0}, {-tiny, 6.0}},
+                                      {{0.0, 0.0}, {tiny, tiny}}};
+  for (const auto& [sink, node] : edge_rows) {
+    auto qx = in.qx;
+    auto qy = in.qy;
+    qx[0] = qx[5] = node.x;
+    qy[0] = qy[5] = node.y;
+    check_shape_row(model, sink, qx, qy);
+  }
 }
 
 TEST(SimdShapeRow, CircleMatchesScalarShapeBitForBit) {
