@@ -74,8 +74,8 @@ struct WindowState {
 /// fired" is stats.epochs_fired > 0), so equal event sequences give equal
 /// states. Construction inputs (model, sniffer set, config, seed) are
 /// deliberately absent: a restore target must be built with the same
-/// inputs, and restore_state() validates only shapes. Serialized as
-/// FLUXFPC1 by stream/checkpoint.hpp.
+/// inputs, and restore_state() validates shapes and particle values.
+/// Serialized as FLUXFPC1 by stream/checkpoint.hpp.
 struct StreamTrackerState {
   /// mt19937_64 engine state, text-serialized via operator<< — integral
   /// words, so the round-trip is exact.
@@ -170,8 +170,9 @@ class StreamTracker {
   /// Restores a snapshot from a tracker with the same sniffer count.
   /// Throws std::invalid_argument on malformed state (window slot counts
   /// that do not match this tracker's sniffer set, non-ascending window
-  /// epochs, an unparseable RNG stream) — the checkpoint layer converts
-  /// these into typed errors.
+  /// epochs, an unparseable RNG stream, particles or weights the filter
+  /// cannot produce — see SmcTracker::restore_state) — the checkpoint
+  /// layer converts these into typed errors.
   void restore_state(const StreamTrackerState& state);
 
  private:

@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -437,6 +439,38 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
   StreamTrackerState bad_window = good;
   bad_window.open.push_back(WindowState{});  // slot counts mismatch
   EXPECT_THROW(target.restore_state(bad_window), std::invalid_argument);
+
+  // Filter values step() never produces are refused too. A NaN particle
+  // used to be accepted and then threw FluxModel::shape's non-finite error
+  // at the next fired epoch, which ends a manager worker's process.
+  const auto image = [](const StreamTrackerState& s) {
+    return encode_checkpoint(ManagerCheckpoint{{SessionCheckpoint{0, {}, s}}});
+  };
+  const std::string before = image(target.save_state());
+  ASSERT_GE(good.smc.users.at(0).particles.size(), 2u);
+  const auto with_particle = [&](auto edit) {
+    StreamTrackerState s = good;
+    edit(s.smc.users[0].particles[0]);
+    return s;
+  };
+  for (const StreamTrackerState& bad :
+       {with_particle([](core::Particle& p) {
+          p.position.x = std::numeric_limits<double>::quiet_NaN();
+        }),
+        with_particle([](core::Particle& p) { p.position.x = 1e300; }),
+        with_particle([](core::Particle& p) {
+          p.weight = std::numeric_limits<double>::quiet_NaN();
+        }),
+        with_particle([](core::Particle& p) { p.weight = -1.0; })}) {
+    EXPECT_THROW(target.restore_state(bad), std::invalid_argument);
+    EXPECT_EQ(image(target.save_state()), before);
+  }
+  // An unbounded last-update time is a state the tracker reaches after an
+  // inf event timestamp, so it still restores.
+  StreamTrackerState unbounded = good;
+  unbounded.smc.users[0].t_last = std::numeric_limits<double>::infinity();
+  StreamTracker other = bed.tracker(3);
+  EXPECT_NO_THROW(other.restore_state(unbounded));
 
   // The failed restores above must not have partially applied.
   target.restore_state(good);
