@@ -48,12 +48,15 @@ std::vector<geom::Vec2> clustered(const geom::Field& field,
   for (std::size_t c = 0; c < clusters; ++c) {
     centers.push_back(geom::uniform_in_field(field, rng));
   }
-  std::normal_distribution<double> gauss(0.0, spread);
+  // Unit draws scaled by `spread`: normal_distribution requires a
+  // positive sigma, and spread 0 (every node at its center) is legal here.
+  std::normal_distribution<double> gauss(0.0, 1.0);
   std::vector<geom::Vec2> pts;
   pts.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const geom::Vec2 center = centers[i % clusters];
-    pts.push_back(field.clamp(center + geom::Vec2{gauss(rng), gauss(rng)}));
+    pts.push_back(field.clamp(
+        center + geom::Vec2{spread * gauss(rng), spread * gauss(rng)}));
   }
   return pts;
 }

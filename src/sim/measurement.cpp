@@ -27,7 +27,10 @@ void FluxEngine::apply_noise(net::FluxMap& flux, const FluxNoise& noise,
   if (noise.relative_sigma <= 0.0 && noise.dropout_prob <= 0.0) {
     return;
   }
-  std::normal_distribution<double> gauss(0.0, noise.relative_sigma);
+  // normal_distribution requires a positive sigma; dropout-only noise
+  // never draws from it.
+  std::normal_distribution<double> gauss(
+      0.0, noise.relative_sigma > 0.0 ? noise.relative_sigma : 1.0);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (double& v : flux) {
     if (noise.dropout_prob > 0.0 && unit(rng) < noise.dropout_prob) {
