@@ -7,8 +7,8 @@
 //
 // The windows are consumed through the streaming runtime: sniffer readings
 // become a FluxEvent stream, recorded to an in-memory binary trace and
-// replayed through a TrackerManager session — the same estimates the batch
-// loop produced, now from a record/replay pipeline.
+// folded back through a StreamTracker — the same estimates the batch loop
+// produced, now from a record/replay pipeline.
 //
 // Run: ./campus_trace [seed]
 
@@ -25,7 +25,7 @@
 #include "sim/scenario.hpp"
 #include "sim/sniffer.hpp"
 #include "stream/emit.hpp"
-#include "stream/manager.hpp"
+#include "stream/stream_tracker.hpp"
 #include "stream/trace_io.hpp"
 #include "trace/generator.hpp"
 #include "trace/replay.hpp"
@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
 
   // Streaming pipeline: emit each window's sniffer readings as events,
   // record the interleaved stream to an (in-memory) binary trace, then
-  // replay the recording into a one-session tracking service. All 20 users
-  // are tracked jointly by the session — the window flux is shared
-  // evidence, so the session is the sharding unit, not the user.
+  // fold the recording through one tracking session. All 20 users are
+  // tracked jointly by the session — the window flux is shared evidence,
+  // so the session is the sharding unit, not the user.
   const auto events = stream::scenario_events(graph, observations, sniffed,
                                               /*user=*/0);
   std::stringstream trace_buffer;
@@ -94,24 +94,28 @@ int main(int argc, char** argv) {
   stream::StreamTrackerConfig stcfg;
   stcfg.smc = tcfg;
   stcfg.expected_readings = sniffed.size();
-  stream::TrackerManager manager({});
-  manager.add_session(0, stream::StreamTracker(model, graph, sniffed,
-                                               sim_users.size(), stcfg,
-                                               seed));
+  stream::StreamTracker tracker(model, graph, sniffed, sim_users.size(),
+                                stcfg, seed);
+  std::vector<stream::EpochResult> fired;
   const auto replay_start = std::chrono::steady_clock::now();
-  manager.start();
   stream::TraceReplayer replayer(trace_buffer);
-  stream::replay_trace(replayer, manager);
-  manager.finish();
+  stream::FluxEvent event;
+  while (replayer.next(event)) {
+    for (auto& r : tracker.on_event(event)) {
+      fired.push_back(std::move(r));
+    }
+  }
+  for (auto& r : tracker.flush()) {
+    fired.push_back(std::move(r));
+  }
   const double replay_seconds = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() -
                                     replay_start)
                                     .count();
-  const stream::ManagerStats mstats = manager.stats();
   std::printf("replayed %llu recorded events (%.0f events/s)\n",
-              static_cast<unsigned long long>(mstats.events_processed),
+              static_cast<unsigned long long>(replayer.read_count()),
               replay_seconds > 0.0
-                  ? static_cast<double>(mstats.events_processed) /
+                  ? static_cast<double>(replayer.read_count()) /
                         replay_seconds
                   : 0.0);
 
@@ -146,7 +150,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> path_errors(sim_users.size());
   std::vector<double> window_errors;  // identity-free, per window
   int active_total = 0;
-  for (const stream::EpochResult& res : manager.results(0)) {
+  for (const stream::EpochResult& res : fired) {
     const auto& obs = observations[res.epoch];
     std::vector<geom::Vec2> updated_est;
     std::vector<geom::Vec2> active_truth;

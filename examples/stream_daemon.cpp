@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +40,6 @@
 #include "geom/field.hpp"
 #include "netio/client.hpp"
 #include "netio/server.hpp"
-#include "numeric/stats.hpp"
 #include "sim/faults.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sniffer.hpp"
@@ -94,10 +94,9 @@ void print_help() {
       "stream_daemon.trace)\n"
       "  --faulty              apply transport faults "
       "(drop/dup/late/jitter)\n"
-      "  --checkpoint PATH     write FLUXFPC1 snapshots to PATH and the\n"
-      "                        covered trace offset to PATH.pos\n"
-      "  --checkpoint-every N  snapshot cadence in accepted events "
-      "(default 256)\n"
+      "  --checkpoint PATH     write FLUXFPC1 snapshots to PATH (every 32\n"
+      "                        fired epochs) and the covered trace offset\n"
+      "                        to PATH.pos\n"
       "  --restore PATH        resume from PATH (+ PATH.pos)\n"
       "  --metrics             print the Prometheus exposition at exit\n"
       "\n"
@@ -245,7 +244,6 @@ int run_local(int argc, char** argv, int first) {
   std::string trace_path = "stream_daemon.trace";
   std::string checkpoint_path;
   std::string restore_path;
-  std::size_t checkpoint_every = 256;
   bool faulty = false;
   bool metrics = false;
   ArgCursor args{argc, argv, first};
@@ -265,8 +263,6 @@ int run_local(int argc, char** argv, int first) {
       trace_path = args.value(a);
     } else if (!std::strcmp(a, "--checkpoint")) {
       checkpoint_path = args.value(a);
-    } else if (!std::strcmp(a, "--checkpoint-every")) {
-      checkpoint_every = parse_u64(a, args.value(a));
     } else if (!std::strcmp(a, "--restore")) {
       restore_path = args.value(a);
     } else if (!std::strcmp(a, "--faulty")) {
@@ -359,19 +355,20 @@ int run_local(int argc, char** argv, int first) {
                                     have_restore ? &restored : nullptr);
 
   stream::SupervisorConfig scfg2;
-  // The daemon advances the .pos resume offset per committed snapshot, so
-  // its cadence is the exact-event-count flag; the default epoch cadence
-  // is turned off to keep --checkpoint-every the single knob.
-  scfg2.checkpoint_every_events = checkpoint_every;
-  scfg2.checkpoint_every_epochs = 0;
   scfg2.checkpoint_path = checkpoint_path;
   stream::Supervisor supervisor(factory, scfg2);
-  supervisor.start();
+  try {
+    supervisor.start();
+  } catch (const std::invalid_argument& e) {
+    // The first incarnation restores the image; one taken against another
+    // deployment (session count, sniffer set) is refused here.
+    std::fprintf(stderr, "restore %s: %s\n", restore_path.c_str(), e.what());
+    return 1;
+  }
 
-  // The replay loop is the daemon's own (rather than stream::replay_trace)
-  // so SIGINT/SIGTERM can stop it between events and pacing sleeps stay
-  // interruptible; the resume offset advances in lockstep with committed
-  // checkpoints.
+  // The replay loop stops between events on SIGINT/SIGTERM, and pacing
+  // sleeps stay interruptible; the resume offset advances in lockstep with
+  // committed checkpoints.
   std::ifstream trace_in(trace_path, std::ios::binary);
   stream::TraceReplayer replayer(trace_in);
   std::uint64_t offered = 0;
@@ -423,7 +420,9 @@ int run_local(int argc, char** argv, int first) {
 
   const stream::TrackerManager* manager = supervisor.manager();
   if (manager == nullptr) {
-    std::fputs("service unrecoverable; committed results only\n", stderr);
+    std::fputs("service unrecoverable; only the last committed checkpoint "
+               "survives\n",
+               stderr);
     return 1;
   }
   const stream::ManagerStats stats = manager->stats();
@@ -449,23 +448,24 @@ int run_local(int argc, char** argv, int first) {
   std::printf("epochs fired: %llu (filter latency histogram: --metrics)\n",
               static_cast<unsigned long long>(stats.epochs_fired));
 
-  std::puts("\nsession  epochs  dup  late  forced  mean-err");
+  // final-err: the session's final estimate (what QUERY_ESTIMATE serves)
+  // against its true position at the last epoch it fired.
+  std::puts("\nsession  epochs  dup  late  forced  final-err");
   for (std::size_t s = 0; s < sessions; ++s) {
-    const auto user = static_cast<std::uint32_t>(s);
-    const stream::StreamStats& ss = manager->session(user).stats();
-    std::vector<double> errors;
-    for (const stream::EpochResult& r : supervisor.results(user)) {
-      if (r.epoch < truths[s].size()) {
-        errors.push_back(
-            geom::distance(r.estimates[0], truths[s][r.epoch]));
-      }
-    }
-    std::printf("%7zu  %6llu  %3llu  %4llu  %6llu  %8.2f\n", s,
+    const stream::StreamTracker& tracker =
+        manager->session(static_cast<std::uint32_t>(s));
+    const stream::StreamStats& ss = tracker.stats();
+    const std::uint32_t last = tracker.save_state().last_fired_epoch;
+    const double final_err =
+        ss.epochs_fired > 0 && last < truths[s].size()
+            ? geom::distance(tracker.estimate(0), truths[s][last])
+            : -1.0;
+    std::printf("%7zu  %6llu  %3llu  %4llu  %6llu  %9.2f\n", s,
                 static_cast<unsigned long long>(ss.epochs_fired),
                 static_cast<unsigned long long>(ss.duplicates),
                 static_cast<unsigned long long>(ss.late),
                 static_cast<unsigned long long>(ss.forced_closes),
-                errors.empty() ? -1.0 : numeric::mean(errors));
+                final_err);
   }
 
   if (metrics) {

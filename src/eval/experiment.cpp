@@ -84,10 +84,10 @@ std::uint64_t derive_seed(std::uint64_t base,
 
 std::vector<double> run_trials(
     std::size_t count, const std::function<double(std::size_t)>& trial) {
-  std::vector<double> results(count);
+  std::vector<double> values(count);
   numeric::parallel_for(0, count,
-                        [&](std::size_t t) { results[t] = trial(t); });
-  return results;
+                        [&](std::size_t t) { values[t] = trial(t); });
+  return values;
 }
 
 }  // namespace fluxfp::eval

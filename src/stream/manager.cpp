@@ -40,7 +40,7 @@ void TrackerManager::add_session(std::uint32_t user, StreamTracker tracker,
   if (!user_index_.emplace(user, sessions_.size()).second) {
     throw std::invalid_argument("TrackerManager: duplicate user id");
   }
-  sessions_.push_back({user, std::move(tracker), options, {}});
+  sessions_.push_back({user, std::move(tracker), options});
 }
 
 void TrackerManager::start() {
@@ -218,15 +218,12 @@ void TrackerManager::worker_loop(std::size_t worker) {
     // Routing guarantees the session belongs to this worker.
     const std::size_t idx = user_index_.at(event.user);
     Session& s = sessions_[idx];
-    auto fired = s.tracker.on_event(event);
-    epochs_fired_live_.fetch_add(fired.size(), std::memory_order_relaxed);
-    for (auto& r : fired) {
-      s.results.push_back(std::move(r));
-    }
+    epochs_fired_live_.fetch_add(s.tracker.on_event(event).size(),
+                                 std::memory_order_relaxed);
     processed_live_.fetch_add(1, std::memory_order_relaxed);
-    // Flow accounting AFTER the results landed: a quiesce() that observes
-    // processed == routed therefore also observes every result (the mutex
-    // handshake publishes them).
+    // Flow accounting AFTER the fold: a quiesce() that observes
+    // processed == routed therefore also observes every session's state
+    // (the mutex handshake publishes it).
     {
       support::MutexLock lock(flow_mutex_);
       ++processed_flow_;
@@ -240,12 +237,8 @@ void TrackerManager::worker_loop(std::size_t worker) {
   // Stream over: fire every still-open window, in session order.
   for (std::size_t i = worker; i < sessions_.size();
        i += queues_.size()) {
-    Session& s = sessions_[i];
-    auto fired = s.tracker.flush();
-    epochs_fired_live_.fetch_add(fired.size(), std::memory_order_relaxed);
-    for (auto& r : fired) {
-      s.results.push_back(std::move(r));
-    }
+    epochs_fired_live_.fetch_add(sessions_[i].tracker.flush().size(),
+                                 std::memory_order_relaxed);
   }
 }
 
@@ -312,8 +305,22 @@ void TrackerManager::restore(const ManagerCheckpoint& cp) {
     }
     targets.push_back(it->second);
   }
-  for (std::size_t i = 0; i < cp.sessions.size(); ++i) {
-    sessions_[targets[i]].tracker.restore_state(cp.sessions[i].state);
+  // restore_state() refuses values the filter cannot produce without
+  // touching its tracker; the sessions applied before it roll back from
+  // their saved states, so a refused image leaves every session as it was.
+  std::vector<StreamTrackerState> saved;
+  saved.reserve(targets.size());
+  try {
+    for (std::size_t i = 0; i < cp.sessions.size(); ++i) {
+      StreamTracker& t = sessions_[targets[i]].tracker;
+      saved.push_back(t.save_state());
+      t.restore_state(cp.sessions[i].state);
+    }
+  } catch (...) {
+    for (std::size_t i = 0; i < saved.size(); ++i) {
+      sessions_[targets[i]].tracker.restore_state(saved[i]);
+    }
+    throw;
   }
 }
 
@@ -386,11 +393,6 @@ const TrackerManager::Session& TrackerManager::find_session(
     throw std::invalid_argument("TrackerManager: unknown user");
   }
   return sessions_[it->second];
-}
-
-const std::vector<EpochResult>& TrackerManager::results(
-    std::uint32_t user) const {
-  return find_session(user).results;
 }
 
 const StreamTracker& TrackerManager::session(std::uint32_t user) const {

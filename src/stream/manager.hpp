@@ -53,7 +53,7 @@ struct SessionOptions {
 struct ManagerConfig {
   /// Worker threads events are sharded over (>= 1). Each session is pinned
   /// to one worker; per-session event order is preserved by routing, so
-  /// results are bit-identical at any worker count (unless a shedding
+  /// estimates are bit-identical at any worker count (unless a shedding
   /// AdmissionPolicy drops events).
   std::size_t workers = 1;
   /// Per-worker ingest queue bound; a full queue blocks offer().
@@ -80,7 +80,11 @@ struct ManagerStats {
 /// Shards many concurrent tracking sessions across worker threads: each
 /// registered user (session) is pinned to one worker, each worker owns a
 /// bounded ingest queue and folds its sessions' events through their
-/// StreamTrackers, flushing them when the stream ends.
+/// StreamTrackers, flushing them when the stream ends. A fired epoch
+/// updates its session's tracker and is counted, nothing more: the
+/// service keeps no per-epoch history, so its memory does not grow with
+/// uptime. A caller that wants every epoch's output drives a
+/// StreamTracker itself.
 ///
 /// Determinism contract (the streaming extension of PR 2's): every session
 /// owns its RNG (seeded at StreamTracker construction) and consumes its own
@@ -137,9 +141,11 @@ class TrackerManager {
   /// Restores a checkpoint into the registered sessions — only before
   /// start(). Each checkpointed session must match a registered session
   /// (same user, sniffer nodes, and user count), and every registered
-  /// session must be covered; the worker count is free (results stay
-  /// bit-identical). These matches are checked for every session before
-  /// any is applied. Throws std::invalid_argument on any mismatch,
+  /// session must be covered; the worker count is free (estimates stay
+  /// bit-identical). All or nothing: these matches are checked for every
+  /// session before any is applied, and a session whose state the tracker
+  /// refuses rolls back the sessions applied before it. Throws
+  /// std::invalid_argument on any mismatch or refused state,
   /// std::logic_error after start().
   void restore(const ManagerCheckpoint& cp);
 
@@ -166,11 +172,9 @@ class TrackerManager {
     return processed_live_.load(std::memory_order_relaxed);
   }
 
-  /// Per-epoch results of one session, in fired order. Valid after
-  /// finish(), and after quiesce() while nothing is being offered. Throws
-  /// std::invalid_argument on an unknown user.
-  const std::vector<EpochResult>& results(std::uint32_t user) const;
-  /// The session's tracker (final estimates, ingestion stats).
+  /// The session's tracker (current estimates, ingestion stats). Valid
+  /// after finish(), and after quiesce() while nothing is being offered.
+  /// Throws std::invalid_argument on an unknown user.
   const StreamTracker& session(std::uint32_t user) const;
   /// The session's admission attributes (tenant, priority). Throws
   /// std::invalid_argument on an unknown user.
@@ -184,7 +188,6 @@ class TrackerManager {
     std::uint32_t user = 0;
     StreamTracker tracker;
     SessionOptions options;
-    std::vector<EpochResult> results;
   };
 
   void worker_loop(std::size_t worker);

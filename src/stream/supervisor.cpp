@@ -1,5 +1,6 @@
 #include "stream/supervisor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -37,10 +38,6 @@ void Supervisor::start() {
         "Supervisor: factory must return a not-yet-started manager");
   }
   users_ = manager_->users();
-  for (const std::uint32_t u : users_) {
-    committed_[u];
-    manager_committed_[u] = 0;
-  }
   started_ = true;
   manager_->start();
   // Epoch-zero baseline: a crash before the first supervision boundary
@@ -60,7 +57,8 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
       // Down for backoff: defer. The journal is the durable record, so
       // the event is admitted, not lost — it replays at restart. Only the
       // session set is checkable while the shard is down.
-      if (committed_.find(event.user) == committed_.end()) {
+      if (std::find(users_.begin(), users_.end(), event.user) ==
+          users_.end()) {
         return PushStatus::kUnknownUser;
       }
       journal_.push_back(event);
@@ -144,12 +142,11 @@ void Supervisor::supervise() {
 
 void Supervisor::commit_checkpoint(std::uint64_t epochs) {
   std::string image = encode_checkpoint(manager_->checkpoint());
-  // The durable copy goes first: if it throws, image_, committed_ and the
-  // journal still describe the previous checkpoint.
+  // The durable copy goes first: if it throws, image_ and the journal
+  // still describe the previous checkpoint.
   if (!config_.checkpoint_path.empty()) {
     write_checkpoint_file(config_.checkpoint_path, image);
   }
-  commit_results();
   image_ = std::move(image);
   // Everything up to the cut is durable now: the journal restarts empty
   // and the incident window closes.
@@ -172,22 +169,10 @@ void Supervisor::commit_checkpoint(std::uint64_t epochs) {
 #endif
 }
 
-void Supervisor::commit_results() {
-  for (const std::uint32_t u : users_) {
-    const std::vector<EpochResult>& live = manager_->results(u);
-    std::size_t& done = manager_committed_.at(u);
-    std::vector<EpochResult>& out = committed_.at(u);
-    for (std::size_t i = done; i < live.size(); ++i) {
-      out.push_back(live[i]);
-    }
-    done = live.size();
-  }
-}
-
 void Supervisor::crash_shard() {
-  // The incarnation dies taking all uncommitted state with it; committed_
-  // results and the journal are the durable record. (Destruction joins
-  // the workers — simulating the kill, not surviving it.)
+  // The incarnation dies taking all uncommitted state with it; the image
+  // and the journal are the durable record. (Destruction joins the
+  // workers — simulating the kill, not surviving it.)
   manager_.reset();
   ++consecutive_failures_;
   if (consecutive_failures_ > config_.max_restarts) {
@@ -226,9 +211,6 @@ bool Supervisor::try_restart() {
   fresh->restore(cp);
   fresh->start();
   manager_ = std::move(fresh);
-  for (const std::uint32_t u : users_) {
-    manager_committed_.at(u) = 0;
-  }
   routed_since_manager_ = 0;
   last_processed_seen_ = 0;
   last_progress_vtime_ = vnow_;
@@ -264,7 +246,7 @@ void Supervisor::finish() {
   }
   if (!manager_ && !try_restart()) {
     // The final drain ignores the backoff clock; an unrecoverable image
-    // ends the run with only the committed results.
+    // ends the run at the last committed checkpoint.
     finished_ = true;
     return;
   }
@@ -283,15 +265,6 @@ void Supervisor::inject_crash() {
   FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_crashes_injected_total",
                                "Shard kills injected by the fault plan");
   crash_shard();
-}
-
-const std::vector<EpochResult>& Supervisor::results(
-    std::uint32_t user) const {
-  const auto it = committed_.find(user);
-  if (it == committed_.end()) {
-    throw std::invalid_argument("Supervisor: unknown user");
-  }
-  return it->second;
 }
 
 std::uint64_t Supervisor::exact_epochs() const {

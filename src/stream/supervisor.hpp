@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/faults.hpp"
@@ -24,8 +23,8 @@ struct SupervisorConfig {
   /// 0 (the default) leaves the cadence to checkpoint_every_epochs: an
   /// event is microseconds of routing, while a snapshot is a quiesce plus
   /// a full state encode, so counting raw events makes supervision cost
-  /// scale with ingest rate instead of with work done. Set it when a test
-  /// or tool needs boundaries at exact event counts.
+  /// scale with ingest rate instead of with work done. Only tests set it,
+  /// to put boundaries at exact event counts.
   std::size_t checkpoint_every_events = 0;
 
   /// Fired epochs between supervision boundaries — the production cadence.
@@ -93,8 +92,9 @@ struct SupervisorStats {
 ///
 /// Recovery is EXACT, not approximate: a checkpoint is a consistent cut at
 /// an event boundary (quiesce), and checkpoint + journal always
-/// reconstruct the precise accepted-event prefix, so the results of a
-/// supervised run are bit-identical to an uninterrupted run no matter
+/// reconstruct the precise accepted-event prefix, so the session states
+/// of a supervised run (and hence its images and served estimates) are
+/// bit-identical to an uninterrupted run's no matter
 /// when or how often the shard dies (under lossless admission; shedding
 /// policies lose this by design). Every restart round-trips the state
 /// through encoded FLUXFPC1 bytes — the serialized format, not the
@@ -149,8 +149,8 @@ class Supervisor {
   bool quiesce();
 
   /// Drains and stops: restarts the shard if it is down (the final drain
-  /// ignores the backoff clock), finishes it (flushing open windows),
-  /// commits all remaining results, and takes the final post-flush image.
+  /// ignores the backoff clock), finishes it (flushing open windows), and
+  /// commits the final post-flush image.
   void finish();
 
   /// Test / fault hook: kill the live shard now, exactly as a scheduled
@@ -170,11 +170,6 @@ class Supervisor {
   /// Registered user ids (checkpoint order).
   const std::vector<std::uint32_t>& users() const { return users_; }
 
-  /// Committed per-epoch results of one session, in fired order —
-  /// complete after finish(). Throws std::invalid_argument on an unknown
-  /// user.
-  const std::vector<EpochResult>& results(std::uint32_t user) const;
-
   /// Newest committed FLUXFPC1 image (what a restart restores from).
   const std::string& checkpoint_image() const { return image_; }
 
@@ -189,13 +184,10 @@ class Supervisor {
   /// shard or commit a checkpoint. Requires a live shard.
   void supervise();
   /// Commits a checkpoint of the (quiesced) live shard: encoded image,
-  /// optional file, results, journal truncation. `epochs` is the exact
-  /// fired-epoch total at the cut. A failed file write throws before
-  /// anything is committed, so the previous checkpoint stays
-  /// authoritative.
+  /// optional file, journal truncation. `epochs` is the exact fired-epoch
+  /// total at the cut. A failed file write throws before anything is
+  /// committed, so the previous checkpoint stays authoritative.
   void commit_checkpoint(std::uint64_t epochs);
-  /// Appends the live shard's not-yet-committed results to committed_.
-  void commit_results();
   /// Kills the live shard and arms the backoff clock (or gives up).
   void crash_shard();
   void give_up();
@@ -209,11 +201,6 @@ class Supervisor {
   SupervisorConfig config_;
   std::unique_ptr<TrackerManager> manager_;
   std::vector<std::uint32_t> users_;
-  /// Results committed up to the newest checkpoint (crash-durable).
-  std::unordered_map<std::uint32_t, std::vector<EpochResult>> committed_;
-  /// Per user: how many of the live incarnation's results are already in
-  /// committed_ (resets to 0 at each restart).
-  std::unordered_map<std::uint32_t, std::size_t> manager_committed_;
   /// Accepted events since the newest checkpoint, in offer order.
   std::vector<FluxEvent> journal_;
   std::string image_;  ///< newest FLUXFPC1 bytes

@@ -1,5 +1,6 @@
 #include "stream/trace_io.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -10,7 +11,6 @@
 #include <utility>
 
 #include "core/observation_model.hpp"
-#include "stream/manager.hpp"
 
 namespace fluxfp::stream {
 
@@ -263,26 +263,6 @@ bool ReplayPacer::pace(double event_time,
     max_behind_ = behind;
   }
   return true;
-}
-
-std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
-                           double speed) {
-  std::uint64_t accepted = 0;
-  FluxEvent event;
-  std::optional<ReplayPacer> pacer;
-  while (replayer.next(event)) {
-    if (speed > 0.0) {
-      if (!pacer) {
-        // The first event's timestamp is the stream epoch.
-        pacer.emplace(speed, event.time);
-      }
-      pacer->pace(event.time);
-    }
-    if (manager.offer(event) == PushStatus::kAccepted) {
-      ++accepted;
-    }
-  }
-  return accepted;
 }
 
 }  // namespace fluxfp::stream

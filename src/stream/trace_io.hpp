@@ -14,8 +14,6 @@
 
 namespace fluxfp::stream {
 
-class TrackerManager;
-
 /// Binary event-trace format. Fixed 16-byte header
 ///   bytes 0..7   magic "FLUXFPT1"
 ///   bytes 8..11  u32 version (1 or 2)
@@ -195,21 +193,5 @@ class ReplayPacer {
   std::chrono::steady_clock::time_point wall_origin_;
   double max_behind_ = 0.0;
 };
-
-/// Replays a trace into a running TrackerManager, pacing deliveries by the
-/// events' timestamps scaled by 1/`speed`:
-///   speed <= 0  — as fast as the manager accepts (benchmarking mode);
-///   speed == 1  — real-time (1 trace-time unit per wall second);
-///   speed == 8  — 8x faster than real time.
-/// Deliveries are scheduled by a ReplayPacer against absolute deadlines
-/// from the stream epoch clock (the first event's timestamp), so the
-/// offered rate stays honest at any speedup. Pacing affects wall-clock
-/// only — the ingest queues block rather than drop, so without a shedding
-/// quota the folding and estimates are bit-identical at every speed, which
-/// is what makes recorded runs a regression currency. Returns the number
-/// of events accepted (events for unknown users are skipped and not
-/// counted).
-std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
-                           double speed = 0.0);
 
 }  // namespace fluxfp::stream

@@ -2,17 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "net/deployment.hpp"
@@ -66,9 +67,6 @@ struct Bed {
   }
 };
 
-using Fired =
-    std::vector<std::vector<std::tuple<std::uint32_t, double, double>>>;
-
 std::unique_ptr<TrackerManager> make_manager(const Bed& bed,
                                              std::size_t num_sessions,
                                              std::size_t workers) {
@@ -81,31 +79,26 @@ std::unique_ptr<TrackerManager> make_manager(const Bed& bed,
   return m;
 }
 
-Fired collect(const TrackerManager& m, std::size_t num_sessions) {
-  Fired fired(num_sessions);
-  for (std::uint32_t u = 0; u < num_sessions; ++u) {
-    for (const EpochResult& r : m.results(u)) {
-      fired[u].emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
+/// Encoded images keyed by how many events had been offered at the
+/// quiesced cut. A session's state holds its particles, weights and RNG
+/// position, so an epoch that fired differently shows in every later
+/// image.
+using Images = std::map<std::size_t, std::string>;
+
+/// Offers events[from, to) to a running manager, snapshotting it before
+/// each probe index in (from, to).
+Images offer_probing(TrackerManager& m, const std::vector<FluxEvent>& events,
+                     std::size_t from, std::size_t to,
+                     const std::vector<std::size_t>& probes) {
+  Images images;
+  for (std::size_t i = from; i < to; ++i) {
+    if (i > from && std::find(probes.begin(), probes.end(), i) !=
+                        probes.end()) {
+      images[i] = encode_checkpoint(m.checkpoint());
     }
+    m.offer(events[i]);
   }
-  return fired;
-}
-
-struct Run {
-  Fired fired;
-  std::string final_image;  ///< encoded checkpoint after finish()
-};
-
-Run run_uninterrupted(const Bed& bed, std::size_t num_sessions,
-                      std::size_t workers,
-                      const std::vector<FluxEvent>& events) {
-  auto m = make_manager(bed, num_sessions, workers);
-  m->start();
-  for (const FluxEvent& e : events) {
-    m->offer(e);
-  }
-  m->finish();
-  return {collect(*m, num_sessions), encode_checkpoint(m->checkpoint())};
+  return images;
 }
 
 std::optional<CheckpointError> decode(const std::string& image,
@@ -181,46 +174,47 @@ TEST(Checkpoint, KillAtArbitraryEventRestoreIsBitIdentical) {
   }
   const std::vector<FluxEvent> merged =
       merge_by_time(std::span<const std::vector<FluxEvent>>(streams));
-  ASSERT_GT(merged.size(), 40u);
-
-  const auto [baseline, baseline_image] =
-      run_uninterrupted(bed, kSessions, 1, merged);
+  const std::size_t n = merged.size();
+  ASSERT_GT(n, 40u);
 
   // Kill the service at arbitrary event cuts — early, mid-window, late —
   // and restore THROUGH THE SERIALIZED BYTES under 1 and 4 workers. The
-  // combined results must be bit-identical to the uninterrupted run, and
-  // the final image byte-identical to its 1-worker image.
-  const std::size_t cuts[] = {1, merged.size() / 3, merged.size() / 2,
-                              merged.size() - 2};
+  // image at the kill, at every later probe and after finish() must be
+  // byte-identical to the uninterrupted 1-worker run's at the same point.
+  const std::vector<std::size_t> cuts = {1, n / 3, n / 2, n - 2};
+  const std::vector<std::size_t> probes = {n / 4, 5 * n / 12, 2 * n / 3,
+                                           n - 1};
+  std::vector<std::size_t> all = cuts;
+  all.insert(all.end(), probes.begin(), probes.end());
+  auto uninterrupted = make_manager(bed, kSessions, 1);
+  uninterrupted->start();
+  const Images baseline = offer_probing(*uninterrupted, merged, 0, n, all);
+  uninterrupted->finish();
+  const std::string baseline_final =
+      encode_checkpoint(uninterrupted->checkpoint());
+
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t cut : cuts) {
       auto first = make_manager(bed, kSessions, workers);
       first->start();
-      for (std::size_t i = 0; i < cut; ++i) {
-        first->offer(merged[i]);
-      }
+      offer_probing(*first, merged, 0, cut, {});
       const ManagerCheckpoint cp = first->checkpoint();
-      const Fired committed = collect(*first, kSessions);
+      EXPECT_EQ(encode_checkpoint(cp), baseline.at(cut))
+          << "cut " << cut << " workers " << workers;
       first.reset();  // the kill: everything in memory is gone
 
       auto second = make_manager(bed, kSessions, workers);
       second->restore(through_bytes(cp));
       second->start();
-      for (std::size_t i = cut; i < merged.size(); ++i) {
-        second->offer(merged[i]);
-      }
+      const Images resumed = offer_probing(*second, merged, cut, n, probes);
       second->finish();
-      const Fired resumed = collect(*second, kSessions);
-      EXPECT_EQ(encode_checkpoint(second->checkpoint()), baseline_image)
-          << "cut " << cut << " workers " << workers;
-
-      for (std::size_t u = 0; u < kSessions; ++u) {
-        Fired::value_type combined = committed[u];
-        combined.insert(combined.end(), resumed[u].begin(),
-                        resumed[u].end());
-        EXPECT_EQ(combined, baseline[u])
-            << "session " << u << " cut " << cut << " workers " << workers;
+      EXPECT_FALSE(resumed.empty());
+      for (const auto& [at, image] : resumed) {
+        EXPECT_EQ(image, baseline.at(at))
+            << "probe " << at << " cut " << cut << " workers " << workers;
       }
+      EXPECT_EQ(encode_checkpoint(second->checkpoint()), baseline_final)
+          << "cut " << cut << " workers " << workers;
     }
   }
 }
@@ -265,7 +259,14 @@ TEST(Checkpoint, RestoreValidatesDeploymentAndLifecycle) {
       widened.sessions[1].state.smc.users[0]);
   EXPECT_THROW(fresh->restore(widened), std::invalid_argument);
 
-  // Validation is all-or-nothing: the failed restores above applied
+  // A particle the filter cannot produce, in the second session: only the
+  // tracker's own restore refuses it, after the first session applied.
+  ManagerCheckpoint poisoned = cp;
+  poisoned.sessions[1].state.smc.users[0].particles[0].position.x =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(fresh->restore(poisoned), std::invalid_argument);
+
+  // Restore is all-or-nothing: the failed restores above applied
   // nothing, and a clean restore still works.
   EXPECT_EQ(encode_checkpoint(fresh->checkpoint()), untouched);
   fresh->restore(cp);

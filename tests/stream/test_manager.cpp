@@ -8,17 +8,15 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "net/deployment.hpp"
 #include "sim/faults.hpp"
 #include "sim/scenario.hpp"
 #include "stream/emit.hpp"
-#include "stream/trace_io.hpp"
 
 #if defined(FLUXFP_OBS_ENABLED)
 #include "obs/obs.hpp"
@@ -69,13 +67,14 @@ struct Bed {
   }
 };
 
-/// Per-user fired (epoch, estimate) sequences — the bit-identity currency.
-using Fired = std::vector<std::vector<std::tuple<std::uint32_t, double,
-                                                 double>>>;
-
-Fired run_manager(const Bed& bed, std::size_t num_sessions,
-                  std::size_t workers,
-                  const std::vector<FluxEvent>& events) {
+/// Encoded images of a manager fed `events`: at two mid-stream quiesced
+/// cuts and after finish() — the bit-identity currency. A session's state
+/// holds its particles, weights and RNG position, so an epoch that fired
+/// differently shows in every later image.
+std::vector<std::string> run_manager(const Bed& bed,
+                                     std::size_t num_sessions,
+                                     std::size_t workers,
+                                     const std::vector<FluxEvent>& events) {
   ManagerConfig mc;
   mc.workers = workers;
   TrackerManager m(mc);
@@ -83,17 +82,25 @@ Fired run_manager(const Bed& bed, std::size_t num_sessions,
     m.add_session(u, bed.tracker(1000 + u));
   }
   m.start();
-  for (const FluxEvent& e : events) {
-    m.offer(e);
+  std::vector<std::string> images;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i == events.size() / 3 || i == 2 * events.size() / 3) {
+      images.push_back(encode_checkpoint(m.checkpoint()));
+    }
+    m.offer(events[i]);
   }
   m.finish();
-  Fired fired(num_sessions);
+  images.push_back(encode_checkpoint(m.checkpoint()));
   for (std::uint32_t u = 0; u < num_sessions; ++u) {
-    for (const EpochResult& r : m.results(u)) {
-      fired[u].emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
-    }
+    EXPECT_GT(m.session(u).stats().epochs_fired, 0u) << "session " << u;
   }
-  return fired;
+  return images;
+}
+
+/// One session's state as an encoded image, for byte comparison.
+std::string state_image(const StreamTracker& t) {
+  return encode_checkpoint(
+      ManagerCheckpoint{{SessionCheckpoint{0, {}, t.save_state()}}});
 }
 
 TEST(TrackerManager, ValidatesConfigAndLifecycle) {
@@ -117,7 +124,7 @@ TEST(TrackerManager, ValidatesConfigAndLifecycle) {
   m.finish();
   EXPECT_EQ(m.offer({0.0, 3, 0, 0, 1.0}), PushStatus::kClosed);  // shut down
   EXPECT_EQ(m.stats().unknown_user, 1u);
-  EXPECT_THROW(m.results(9), std::invalid_argument);
+  EXPECT_THROW(m.session(9), std::invalid_argument);
 }
 
 TEST(TrackerManager, WorkerCountDoesNotChangeEstimates) {
@@ -131,47 +138,15 @@ TEST(TrackerManager, WorkerCountDoesNotChangeEstimates) {
       merge_by_time(std::span<const std::vector<FluxEvent>>(streams));
   ASSERT_FALSE(merged.empty());
 
-  const Fired one = run_manager(bed, kSessions, 1, merged);
-  const Fired four = run_manager(bed, kSessions, 4, merged);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t u = 0; u < kSessions; ++u) {
-    ASSERT_FALSE(one[u].empty());
-    // Bit-identical per-session results at any worker count.
-    EXPECT_EQ(one[u], four[u]) << "session " << u;
-  }
-}
-
-TEST(TrackerManager, TraceReplayMatchesDirectPush) {
-  const Bed bed;
-  std::vector<std::vector<FluxEvent>> streams;
-  for (std::uint32_t u = 0; u < 2; ++u) {
-    streams.push_back(bed.session_events(u, 5, 31 + u));
-  }
-  const std::vector<FluxEvent> merged =
-      merge_by_time(std::span<const std::vector<FluxEvent>>(streams));
-
-  const Fired direct = run_manager(bed, 2, 2, merged);
-
-  std::stringstream buffer;
-  TraceRecorder rec(buffer);
-  rec.write(std::span<const FluxEvent>(merged));
-  ManagerConfig mc;
-  mc.workers = 2;
-  TrackerManager m(mc);
-  for (std::uint32_t u = 0; u < 2; ++u) {
-    m.add_session(u, bed.tracker(1000 + u));
-  }
-  m.start();
-  TraceReplayer rep(buffer);
-  EXPECT_EQ(replay_trace(rep, m), merged.size());
-  m.finish();
-  for (std::uint32_t u = 0; u < 2; ++u) {
-    std::vector<std::tuple<std::uint32_t, double, double>> replayed;
-    for (const EpochResult& r : m.results(u)) {
-      replayed.emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
-    }
-    EXPECT_EQ(replayed, direct[u]) << "session " << u;
-  }
+  const std::vector<std::string> one = run_manager(bed, kSessions, 1, merged);
+  const std::vector<std::string> four =
+      run_manager(bed, kSessions, 4, merged);
+  ASSERT_EQ(one.size(), 3u);
+  // The cuts are mid-stream: the sessions moved on between them.
+  EXPECT_NE(one[0], one[1]);
+  EXPECT_NE(one[1], one[2]);
+  // Bit-identical session states at every cut, at any worker count.
+  EXPECT_EQ(one, four);
 }
 
 TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
@@ -225,10 +200,26 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
     epochs += ss.epochs_fired;
     // Most windows made it through despite the fault storm.
     EXPECT_GT(ss.epochs_fired, static_cast<std::uint64_t>(kRounds / 2));
-    for (const EpochResult& r : m.results(u)) {
-      EXPECT_TRUE(std::isfinite(r.estimates[0].x));
-      EXPECT_TRUE(std::isfinite(r.estimates[0].y));
+    // Every epoch, from a bare tracker fed the same faulty per-session
+    // stream: finite, as many as the session fired, and ending in the
+    // session's state.
+    StreamTracker bare = bed.tracker(1000 + u);
+    std::uint64_t fired = 0;
+    const auto check = [&fired](const std::vector<EpochResult>& results) {
+      for (const EpochResult& r : results) {
+        EXPECT_TRUE(std::isfinite(r.estimates[0].x));
+        EXPECT_TRUE(std::isfinite(r.estimates[0].y));
+        ++fired;
+      }
+    };
+    for (const FluxEvent& e : faulty) {
+      if (e.user == u) {
+        check(bare.on_event(e));
+      }
     }
+    check(bare.flush());
+    EXPECT_EQ(fired, ss.epochs_fired);
+    EXPECT_EQ(state_image(bare), state_image(m.session(u)));
   }
   EXPECT_EQ(stats.epochs_fired, epochs);
   // The deterministic fault plan exercised both anomaly paths.

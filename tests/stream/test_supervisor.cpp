@@ -11,8 +11,9 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <stdexcept>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "net/deployment.hpp"
@@ -87,9 +88,6 @@ struct Bed {
   }
 };
 
-using Fired =
-    std::vector<std::vector<std::tuple<std::uint32_t, double, double>>>;
-
 /// An unsupervised manager fed `events` and finished.
 std::unique_ptr<TrackerManager> finished_plain(
     const Bed& bed, std::size_t num_sessions, std::size_t workers,
@@ -103,30 +101,13 @@ std::unique_ptr<TrackerManager> finished_plain(
   return m;
 }
 
-Fired collect(const TrackerManager& m, std::size_t num_sessions) {
-  Fired fired(num_sessions);
-  for (std::uint32_t u = 0; u < num_sessions; ++u) {
-    for (const EpochResult& r : m.results(u)) {
-      fired[u].emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
-    }
-  }
-  return fired;
-}
-
-Fired run_plain(const Bed& bed, std::size_t num_sessions,
-                std::size_t workers, const std::vector<FluxEvent>& events) {
-  return collect(*finished_plain(bed, num_sessions, workers, events),
-                 num_sessions);
-}
-
-Fired collect(const Supervisor& sup, std::size_t num_sessions) {
-  Fired fired(num_sessions);
-  for (std::uint32_t u = 0; u < num_sessions; ++u) {
-    for (const EpochResult& r : sup.results(u)) {
-      fired[u].emplace_back(r.epoch, r.estimates[0].x, r.estimates[0].y);
-    }
-  }
-  return fired;
+/// The final image of an unsupervised run — what a supervised run's
+/// checkpoint_image() must equal after finish(), however often it crashed.
+std::string plain_image(const Bed& bed, std::size_t num_sessions,
+                        std::size_t workers,
+                        const std::vector<FluxEvent>& events) {
+  return encode_checkpoint(
+      finished_plain(bed, num_sessions, workers, events)->checkpoint());
 }
 
 TEST(Supervisor, ValidatesConstructionAndLifecycle) {
@@ -148,14 +129,14 @@ TEST(Supervisor, ValidatesConstructionAndLifecycle) {
   EXPECT_FALSE(sup.checkpoint_image().empty());  // epoch-zero baseline
   sup.finish();
   EXPECT_EQ(sup.offer({0.0, 0, 0, 0, 1.0}), PushStatus::kClosed);
-  EXPECT_THROW(sup.results(9), std::invalid_argument);
+  EXPECT_THROW(sup.manager()->session(9), std::invalid_argument);
 }
 
 TEST(Supervisor, NoCrashesMatchesPlainRunExactly) {
   const Bed bed;
   constexpr std::size_t kSessions = 2;
   const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 5, 31);
-  const Fired plain = run_plain(bed, kSessions, 2, events);
+  const std::string plain = plain_image(bed, kSessions, 2, events);
 
   SupervisorConfig cfg;
   cfg.checkpoint_every_events = 16;
@@ -165,7 +146,7 @@ TEST(Supervisor, NoCrashesMatchesPlainRunExactly) {
     EXPECT_EQ(sup.offer(e), PushStatus::kAccepted);
   }
   sup.finish();
-  EXPECT_EQ(collect(sup, kSessions), plain);
+  EXPECT_EQ(sup.checkpoint_image(), plain);
   const SupervisorStats st = sup.stats();
   EXPECT_EQ(st.restarts, 0u);
   EXPECT_EQ(st.stalls_detected, 0u);
@@ -178,7 +159,7 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
   constexpr std::size_t kSessions = 2;
   const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 57);
   ASSERT_GT(events.size(), 60u);
-  const Fired plain = run_plain(bed, kSessions, 1, events);
+  const std::string plain = plain_image(bed, kSessions, 1, events);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SupervisorConfig cfg;
@@ -201,7 +182,7 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
       EXPECT_EQ(sup.offer(events[i]), PushStatus::kAccepted);
     }
     sup.finish();
-    EXPECT_EQ(collect(sup, kSessions), plain) << "workers " << workers;
+    EXPECT_EQ(sup.checkpoint_image(), plain) << "workers " << workers;
     const SupervisorStats st = sup.stats();
     EXPECT_EQ(st.crashes_injected, 4u);
     EXPECT_EQ(st.restarts, 4u);
@@ -213,7 +194,7 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   // The CI soak: a fault-injected stream (transport drops/dups/stragglers)
   // into a supervised service whose shard is killed every few epochs, with
   // real backoff so events are deferred and replayed. 2 sessions x 100
-  // rounds = 200 epochs end to end; the committed results must still be
+  // rounds = 200 epochs end to end; the final image must still be
   // bit-identical to a run that never crashed.
   const Bed bed;
   constexpr std::size_t kSessions = 2;
@@ -230,7 +211,6 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   events = sim::apply_event_faults(events, eplan);
 
   const auto plain_manager = finished_plain(bed, kSessions, 2, events);
-  const Fired plain = collect(*plain_manager, kSessions);
 
   SupervisorConfig cfg;
   cfg.checkpoint_every_events = 32;
@@ -246,7 +226,6 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   sup.finish();
   EXPECT_FALSE(sup.failed());
 
-  EXPECT_EQ(collect(sup, kSessions), plain);
   const SupervisorStats st = sup.stats();
   EXPECT_GT(st.crashes_injected, 10u);  // ~200 epochs / every 10
   EXPECT_EQ(st.restarts, st.crashes_injected);
@@ -254,25 +233,40 @@ TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   EXPECT_GT(st.replayed_events, 0u);
   EXPECT_EQ(st.sessions_shed, 0u);
   std::uint64_t epochs = 0;
+  ManagerCheckpoint bare;
   for (std::uint32_t u = 0; u < kSessions; ++u) {
     epochs += sup.manager()->session(u).stats().epochs_fired;
-    for (const EpochResult& r : sup.results(u)) {
-      EXPECT_TRUE(std::isfinite(r.estimates[0].x));
-      EXPECT_TRUE(std::isfinite(r.estimates[0].y));
+    // Every epoch, from a bare tracker fed the same faulty per-session
+    // stream: finite, and ending in the state the plain run's image holds.
+    StreamTracker t = bed.tracker(1000 + u);
+    const auto check = [](const std::vector<EpochResult>& results) {
+      for (const EpochResult& r : results) {
+        EXPECT_TRUE(std::isfinite(r.estimates[0].x));
+        EXPECT_TRUE(std::isfinite(r.estimates[0].y));
+      }
+    };
+    for (const FluxEvent& e : events) {
+      if (e.user == u) {
+        check(t.on_event(e));
+      }
     }
+    check(t.flush());
+    bare.sessions.push_back(
+        {u, {bed.sniffers.begin(), bed.sniffers.end()}, t.save_state()});
   }
   EXPECT_EQ(epochs, static_cast<std::uint64_t>(kSessions * kRounds));
   // The image is a pure function of the accepted events: a dozen
   // kill/restore cycles leave no trace in it.
-  EXPECT_EQ(sup.checkpoint_image(),
-            encode_checkpoint(plain_manager->checkpoint()));
+  const std::string plain = encode_checkpoint(plain_manager->checkpoint());
+  EXPECT_EQ(encode_checkpoint(bare), plain);
+  EXPECT_EQ(sup.checkpoint_image(), plain);
 }
 
 TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
   // A boundary whose file write fails (here: a file-size limit below the
   // image size) must leave the last good file on disk and the in-memory
-  // image, committed results and journal at the previous cut, so a crash
-  // afterwards still recovers exactly.
+  // image and journal at the previous cut, so a crash afterwards still
+  // recovers exactly.
   const Bed bed;
   const std::vector<FluxEvent> events = bed.merged_stream(1, 6, 61);
   ASSERT_GT(events.size(), 40u);
@@ -321,7 +315,6 @@ TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
   }
   sup.finish();
   EXPECT_EQ(sup.stats().restarts, 1u);
-  EXPECT_EQ(collect(sup, 1), collect(*plain_manager, 1));
   EXPECT_EQ(sup.checkpoint_image(),
             encode_checkpoint(plain_manager->checkpoint()));
 }
@@ -329,7 +322,7 @@ TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
 TEST(Supervisor, HealthProbeForcesRestartFromLastGoodImage) {
   const Bed bed;
   const std::vector<FluxEvent> events = bed.merged_stream(1, 5, 13);
-  const Fired plain = run_plain(bed, 1, 1, events);
+  const std::string plain = plain_image(bed, 1, 1, events);
 
   int probes = 0;
   SupervisorConfig cfg;
@@ -350,7 +343,7 @@ TEST(Supervisor, HealthProbeForcesRestartFromLastGoodImage) {
   EXPECT_EQ(st.restarts, 1u);
   EXPECT_FALSE(sup.failed());
   // Recovery is exact even for a probe-triggered restart.
-  EXPECT_EQ(collect(sup, 1), plain);
+  EXPECT_EQ(sup.checkpoint_image(), plain);
 }
 
 TEST(Supervisor, GivesUpAfterMaxRestartsAndShedsSessions) {
@@ -375,9 +368,12 @@ TEST(Supervisor, GivesUpAfterMaxRestartsAndShedsSessions) {
   EXPECT_TRUE(sup.failed());
   const SupervisorStats st = sup.stats();
   EXPECT_EQ(st.sessions_shed, 2u);
-  // Failed supervisors keep the committed prefix readable.
+  // Failed supervisors keep the last committed image readable.
   sup.finish();
-  EXPECT_NO_THROW(sup.results(0));
+  ManagerCheckpoint committed;
+  std::istringstream image(sup.checkpoint_image());
+  EXPECT_FALSE(read_checkpoint(image, committed).has_value());
+  EXPECT_EQ(committed.sessions.size(), 2u);
 }
 
 TEST(Supervisor, DownShardRejectsUnknownUsersWhileDeferring) {

@@ -121,6 +121,26 @@ TEST(StreamDaemonCli, BareFlagsStillMeanLocalForBackCompat) {
   std::remove(trace.c_str());
 }
 
+TEST(StreamDaemonCli, RestoreFromAnotherDeploymentExitsOne) {
+  // An image recorded with 4 sessions cannot seed a 3-session deployment:
+  // the refused restore is a runtime failure with a diagnostic, not an
+  // uncaught exception.
+  const std::string trace = ::testing::TempDir() + "fxn_cli_restore.trace";
+  const std::string ckpt = ::testing::TempDir() + "fxn_cli_restore.ckpt";
+  const std::string common = " --rounds 1 --workers 1 --trace " + trace;
+  const RunResult recorded =
+      run_daemon("local --sessions 4 --checkpoint " + ckpt + common);
+  ASSERT_EQ(recorded.exit_code, 0) << recorded.output;
+  const RunResult res =
+      run_daemon("local --sessions 3 --restore " + ckpt + common);
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("restore " + ckpt + ": "), std::string::npos)
+      << res.output;
+  for (const std::string& path : {trace, ckpt, ckpt + ".pos"}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(StreamDaemonCli, BadTokenSpecExitsTwo) {
   expect_usage_error("serve --token notanumber", "--token");
   expect_usage_error("serve --token 3", "--token");
