@@ -357,6 +357,13 @@ int run_local(int argc, char** argv, int first) {
   stream::SupervisorConfig scfg2;
   scfg2.checkpoint_path = checkpoint_path;
   stream::Supervisor supervisor(factory, scfg2);
+  // An unwritable --checkpoint path surfaces wherever an image commits:
+  // the baseline in start(), a periodic commit in offer(), or finish().
+  const auto checkpoint_failed = [&](const std::runtime_error& e) {
+    std::fprintf(stderr, "checkpoint %s: %s\n", checkpoint_path.c_str(),
+                 e.what());
+    return 1;
+  };
   try {
     supervisor.start();
   } catch (const std::invalid_argument& e) {
@@ -364,11 +371,15 @@ int run_local(int argc, char** argv, int first) {
     // deployment (session count, sniffer set) is refused here.
     std::fprintf(stderr, "restore %s: %s\n", restore_path.c_str(), e.what());
     return 1;
+  } catch (const std::runtime_error& e) {
+    return checkpoint_failed(e);
   }
 
   // The replay loop stops between events on SIGINT/SIGTERM, and pacing
   // sleeps stay interruptible; the resume offset advances in lockstep with
-  // committed checkpoints.
+  // committed checkpoints. A commit lands a few offers after its cut, so
+  // the offset is the supervisor's count of offers the image covers, not
+  // the offers made so far.
   std::ifstream trace_in(trace_path, std::ios::binary);
   stream::TraceReplayer replayer(trace_in);
   std::uint64_t offered = 0;
@@ -391,13 +402,17 @@ int run_local(int argc, char** argv, int first) {
         break;  // the un-offered event replays on the next --restore run
       }
     }
-    supervisor.offer(event);
+    try {
+      supervisor.offer(event);
+    } catch (const std::runtime_error& e) {
+      return checkpoint_failed(e);
+    }
     ++offered;
     if (!checkpoint_path.empty() &&
         supervisor.stats().checkpoints != checkpoints_seen) {
-      // A snapshot just committed; everything up to `offered` is in it.
       checkpoints_seen = supervisor.stats().checkpoints;
-      write_pos_file(checkpoint_path + ".pos", skip + offered);
+      write_pos_file(checkpoint_path + ".pos",
+                     skip + supervisor.stats().offers_covered);
     }
   }
   if (replayer.error()) {
@@ -408,14 +423,19 @@ int run_local(int argc, char** argv, int first) {
   if (g_stop) {
     std::puts("\nsignal received: draining...");
   }
-  supervisor.finish();
+  try {
+    supervisor.finish();
+  } catch (const std::runtime_error& e) {
+    return checkpoint_failed(e);
+  }
   const double replay_seconds = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() -
                                     replay_start)
                                     .count();
   if (!checkpoint_path.empty()) {
-    // finish() wrote the final post-flush snapshot; record its coverage.
-    write_pos_file(checkpoint_path + ".pos", skip + offered);
+    // finish() wrote the final post-flush snapshot; it covers every offer.
+    write_pos_file(checkpoint_path + ".pos",
+                   skip + supervisor.stats().offers_covered);
   }
 
   const stream::TrackerManager* manager = supervisor.manager();

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +75,20 @@ struct CheckpointError {
   std::string to_string() const;
 };
 
-/// Serializes a snapshot into one in-memory FLUXFPC1 image (header +
-/// payload). This is the supervision hot path — one buffer build, no
-/// stream round-trip.
+/// Serializes one session into its payload record: the bytes the session
+/// contributes to an image. Records encode independently, so a worker can
+/// encode the sessions it owns on its own thread (TrackerManager's cut).
+std::string encode_session_record(const SessionCheckpoint& s);
+
+/// Builds a FLUXFPC1 image (header + payload) from session records in
+/// registration order: the session count, the records back to back, and
+/// the header CRC over them. The supervisor's commit, the one piece of a
+/// checkpoint that runs on the coordinating thread.
+std::string assemble_checkpoint(std::span<const std::string> records);
+
+/// Serializes a snapshot into one in-memory FLUXFPC1 image: each
+/// session's record, assembled. Byte-identical to assembling records
+/// encoded elsewhere from the same states.
 std::string encode_checkpoint(const ManagerCheckpoint& cp);
 
 /// Decodes a snapshot. On success returns std::nullopt and fills `out`;

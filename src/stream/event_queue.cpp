@@ -61,44 +61,74 @@ bool EventQueue::push(const FluxEvent& event) {
   return true;
 }
 
-bool EventQueue::pop(FluxEvent& out) {
-  support::UniqueLock lock(mutex_);
-  not_empty_.wait(lock.native(), [&] {
-    mutex_.assert_held();  // predicate runs under the re-acquired lock
-    return closed_ || !items_.empty();
-  });
-  if (items_.empty()) {
-    return false;  // closed and drained
+bool EventQueue::push_marker() {
+  {
+    support::MutexLock lock(mutex_);
+    if (closed_) {
+      return false;
+    }
+    markers_.push_back(items_.size());
   }
-  out = items_.front();
-  items_.pop_front();
-  ++stats_.popped;
-  lock.unlock();
-  not_full_.notify_one();
-  FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
-                         "Events handed to consumers");
+  not_empty_.notify_one();
   return true;
 }
 
-bool EventQueue::try_pop(FluxEvent& out) {
-  support::UniqueLock lock(mutex_);
+EventQueue::Popped EventQueue::take_head_locked(FluxEvent& out) {
+  if (!markers_.empty() && markers_.front() == 0) {
+    markers_.pop_front();
+    return Popped::kMarker;
+  }
   if (items_.empty()) {
-    return false;
+    return Popped::kNone;
   }
   out = items_.front();
   items_.pop_front();
   ++stats_.popped;
+  for (std::size_t& ahead : markers_) {
+    --ahead;
+  }
+  return Popped::kEvent;
+}
+
+EventQueue::Popped EventQueue::pop(FluxEvent& out) {
+  support::UniqueLock lock(mutex_);
+  not_empty_.wait(lock.native(), [&] {
+    mutex_.assert_held();  // predicate runs under the re-acquired lock
+    return closed_ || !items_.empty() || !markers_.empty();
+  });
+  const Popped got = take_head_locked(out);
   lock.unlock();
-  not_full_.notify_one();
-  FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
-                         "Events handed to consumers");
-  return true;
+  if (got == Popped::kEvent) {
+    not_full_.notify_one();
+    FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
+                           "Events handed to consumers");
+  }
+  return got;
+}
+
+EventQueue::Popped EventQueue::try_pop(FluxEvent& out) {
+  support::UniqueLock lock(mutex_);
+  const Popped got = take_head_locked(out);
+  lock.unlock();
+  if (got == Popped::kEvent) {
+    not_full_.notify_one();
+    FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
+                           "Events handed to consumers");
+  }
+  return got;
 }
 
 bool EventQueue::evict_one(std::uint32_t user) {
   support::UniqueLock lock(mutex_);
   for (auto it = items_.begin(); it != items_.end(); ++it) {
     if (it->user == user) {
+      // Markers behind the evicted event move up one place.
+      const auto at = static_cast<std::size_t>(it - items_.begin());
+      for (std::size_t& ahead : markers_) {
+        if (ahead > at) {
+          --ahead;
+        }
+      }
       items_.erase(it);
       ++stats_.evicted;
       lock.unlock();

@@ -29,11 +29,25 @@ struct QueueStats {
 /// trivially clean under TSan — this queue and the TrackerManager are the
 /// first cross-thread mutable state in the repo.
 ///
+/// Besides events the queue carries cut markers: a marker sits between the
+/// events pushed before it and those pushed after, takes no slot of the
+/// capacity (pushing one never waits), and reaches the consumer in FIFO
+/// order like an event. TrackerManager's snapshot cut is built on them:
+/// a worker that pops its marker has folded exactly the events offered
+/// before the cut.
+///
 /// Any thread may push; pop is intended for one consumer (more would work,
 /// but per-user event ordering — the determinism anchor — is only
 /// guaranteed with a single consumer per queue).
 class EventQueue {
  public:
+  /// What a pop handed the consumer.
+  enum class Popped {
+    kEvent,   ///< `out` holds the oldest queued event
+    kMarker,  ///< a cut marker reached the head; `out` is untouched
+    kNone,    ///< pop: closed and drained; try_pop: nothing queued now
+  };
+
   /// `capacity` >= 1 bounds the backlog. Throws std::invalid_argument on 0.
   explicit EventQueue(std::size_t capacity);
 
@@ -41,13 +55,18 @@ class EventQueue {
   /// was closed while waiting or before the call.
   bool push(const FluxEvent& event);
 
-  /// Dequeues into `out`, waiting for an event. Returns false when the
-  /// queue is closed AND drained — the consumer's termination signal.
-  bool pop(FluxEvent& out);
+  /// Enqueues a cut marker behind every event pushed so far, without
+  /// waiting for room. Returns false when the queue is closed.
+  bool push_marker();
 
-  /// Non-blocking pop; false when currently empty (queue may still be
+  /// Dequeues the head into `out`, waiting for an event or a marker.
+  /// Returns kNone when the queue is closed AND drained — the consumer's
+  /// termination signal.
+  Popped pop(FluxEvent& out);
+
+  /// Non-blocking pop; kNone when currently empty (the queue may still be
   /// open).
-  bool try_pop(FluxEvent& out);
+  Popped try_pop(FluxEvent& out);
 
   /// Removes the oldest queued event of `user` (admission-policy
   /// displacement: TrackerManager's kShedLowestPriority evicts a queued
@@ -57,10 +76,11 @@ class EventQueue {
   bool evict_one(std::uint32_t user);
 
   /// Closes the queue: subsequent pushes fail, blocked producers and the
-  /// consumer wake up. Already-queued events remain poppable.
+  /// consumer wake up. Already-queued events and markers remain poppable.
   void close();
 
   bool closed() const;
+  /// Queued events (markers are not counted).
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
@@ -73,7 +93,13 @@ class EventQueue {
   mutable support::Mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
+  /// Dequeues the head under the lock; kNone when nothing is queued.
+  Popped take_head_locked(FluxEvent& out) FLUXFP_REQUIRES(mutex_);
+
   std::deque<FluxEvent> items_ FLUXFP_GUARDED_BY(mutex_);
+  /// Queued markers, oldest first, each as the number of queued events
+  /// ahead of it (non-decreasing; a marker is at the head at 0).
+  std::deque<std::size_t> markers_ FLUXFP_GUARDED_BY(mutex_);
   QueueStats stats_ FLUXFP_GUARDED_BY(mutex_);
   bool closed_ FLUXFP_GUARDED_BY(mutex_) = false;
 };

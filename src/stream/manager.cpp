@@ -14,6 +14,19 @@
 
 namespace fluxfp::stream {
 
+namespace {
+
+SessionCheckpoint snapshot(std::uint32_t user, const StreamTracker& t) {
+  SessionCheckpoint sc;
+  sc.user = user;
+  const std::vector<std::size_t>& nodes = t.sniffer_nodes();
+  sc.sniffer_nodes.assign(nodes.begin(), nodes.end());
+  sc.state = t.save_state();
+  return sc;
+}
+
+}  // namespace
+
 TrackerManager::TrackerManager(ManagerConfig config) : config_(config) {
   if (config_.workers == 0) {
     throw std::invalid_argument("TrackerManager: workers must be >= 1");
@@ -214,7 +227,15 @@ void TrackerManager::worker_loop(std::size_t worker) {
   EventQueue& queue = *queues_[worker];
   const bool quota = config_.tenant_quota > 0;
   FluxEvent event;
-  while (queue.pop(event)) {
+  for (;;) {
+    const EventQueue::Popped got = queue.pop(event);
+    if (got == EventQueue::Popped::kNone) {
+      break;
+    }
+    if (got == EventQueue::Popped::kMarker) {
+      capture_cut(worker);
+      continue;
+    }
     // Routing guarantees the session belongs to this worker.
     const std::size_t idx = user_index_.at(event.user);
     Session& s = sessions_[idx];
@@ -242,6 +263,66 @@ void TrackerManager::worker_loop(std::size_t worker) {
   }
 }
 
+void TrackerManager::capture_cut(std::size_t worker) {
+  // Encoding runs off the lock: this worker alone touches its sessions.
+  const std::size_t stride = queues_.size();
+  std::vector<std::string> records;
+  std::uint64_t epochs = 0;
+  for (std::size_t i = worker; i < sessions_.size(); i += stride) {
+    const Session& s = sessions_[i];
+    records.push_back(encode_session_record(snapshot(s.user, s.tracker)));
+    epochs += s.tracker.stats().epochs_fired;
+  }
+  {
+    support::MutexLock lock(flow_mutex_);
+    std::size_t k = 0;
+    for (std::size_t i = worker; i < sessions_.size(); i += stride) {
+      cut_->records[i] = std::move(records[k++]);
+    }
+    cut_->epochs += epochs;
+    --cut_parts_missing_;
+    ++processed_flow_;
+  }
+  flow_cv_.notify_all();
+}
+
+void TrackerManager::request_cut() {
+  if (!started_.load(std::memory_order_relaxed) ||
+      finished_.load(std::memory_order_relaxed)) {
+    throw std::logic_error("TrackerManager: request_cut() needs a running "
+                           "service");
+  }
+  {
+    support::MutexLock lock(flow_mutex_);
+    if (cut_) {
+      throw std::logic_error("TrackerManager: a cut is already pending");
+    }
+    cut_.emplace();
+    cut_->records.resize(sessions_.size());
+    cut_parts_missing_ = queues_.size();
+    routed_flow_ += queues_.size();
+  }
+  for (auto& q : queues_) {
+    q->push_marker();
+  }
+}
+
+std::optional<ManagerCut> TrackerManager::take_cut(bool wait) {
+  support::UniqueLock lock(flow_mutex_);
+  if (wait) {
+    flow_cv_.wait(lock.native(), [&] {
+      flow_mutex_.assert_held();  // predicate runs under the lock
+      return !cut_ || cut_parts_missing_ == 0;
+    });
+  }
+  if (!cut_ || cut_parts_missing_ != 0) {
+    return std::nullopt;
+  }
+  std::optional<ManagerCut> cut = std::move(cut_);
+  cut_.reset();
+  return cut;
+}
+
 void TrackerManager::quiesce() {
   if (!started_.load(std::memory_order_relaxed) ||
       finished_.load(std::memory_order_relaxed)) {
@@ -259,12 +340,7 @@ ManagerCheckpoint TrackerManager::checkpoint() {
   ManagerCheckpoint cp;
   cp.sessions.reserve(sessions_.size());
   for (const Session& s : sessions_) {
-    SessionCheckpoint sc;
-    sc.user = s.user;
-    const std::vector<std::size_t>& nodes = s.tracker.sniffer_nodes();
-    sc.sniffer_nodes.assign(nodes.begin(), nodes.end());
-    sc.state = s.tracker.save_state();
-    cp.sessions.push_back(std::move(sc));
+    cp.sessions.push_back(snapshot(s.user, s.tracker));
   }
   return cp;
 }

@@ -4,6 +4,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -67,6 +69,15 @@ struct ManagerConfig {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
+/// A consistent snapshot cut, captured by the workers (see
+/// TrackerManager::request_cut): every session's FLUXFPC1 record in
+/// registration order, ready for assemble_checkpoint(), and the sessions'
+/// fired-epoch total at the cut.
+struct ManagerCut {
+  std::vector<std::string> records;
+  std::uint64_t epochs = 0;
+};
+
 /// Service-level counters, valid after finish().
 struct ManagerStats {
   std::uint64_t events_routed = 0;     ///< accepted by offer()
@@ -101,6 +112,9 @@ struct ManagerStats {
 /// FLUXFPC1 image; a new manager re-registered with the same trackers and
 /// restore()d from the image continues bit-identically (see
 /// stream/supervisor.hpp for the crash-recovery loop built on top).
+/// request_cut() takes the same snapshot without stopping anything: a
+/// marker in every worker queue cuts all sessions at one offer, and each
+/// worker encodes its own sessions when it pops the marker.
 class TrackerManager {
  public:
   explicit TrackerManager(ManagerConfig config);
@@ -127,10 +141,29 @@ class TrackerManager {
   PushStatus offer(const FluxEvent& event);
 
   /// Blocks until every event accepted so far has been folded by its
-  /// worker (queues drained, workers idle). The caller must not offer()
-  /// concurrently — one coordinating thread (the Supervisor pattern), or
-  /// external synchronization. No-op before start() or after finish().
+  /// worker and every queued cut marker captured (queues drained, workers
+  /// idle). The caller must not offer() concurrently — one coordinating
+  /// thread (the Supervisor pattern), or external synchronization. No-op
+  /// before start() or after finish().
   void quiesce();
+
+  /// Starts a snapshot cut behind every event offered so far: pushes one
+  /// marker into each worker queue, never waiting for room, and returns.
+  /// A worker that pops its marker has folded exactly its sessions' events
+  /// offered before the call (queues are FIFO), and encodes those sessions'
+  /// records on its own thread; take_cut() then hands the parts over.
+  /// The records assemble into the image encode_checkpoint(checkpoint())
+  /// would give after quiescing at this point. At most one cut is
+  /// pending: throws std::logic_error when one is, or when the service is
+  /// not running. Same single-producer caveat as quiesce().
+  void request_cut();
+
+  /// The pending cut once every worker has captured its part. With
+  /// `wait`, first waits for the workers that have not reached their
+  /// marker yet — for the events queued ahead of it, not for a drain.
+  /// std::nullopt when no cut is pending or, without `wait`, while a part
+  /// is missing.
+  std::optional<ManagerCut> take_cut(bool wait);
 
   /// Snapshot of every session in registration order. Quiesces first when
   /// the service is running, so the image is a consistent cut at an event
@@ -191,6 +224,9 @@ class TrackerManager {
   };
 
   void worker_loop(std::size_t worker);
+  /// The worker's side of a cut: encodes its sessions' records and hands
+  /// them to the pending cut.
+  void capture_cut(std::size_t worker);
   const Session& find_session(std::uint32_t user) const;
   /// Quota admission for one event; returns the status to propagate or
   /// kAccepted when the event may proceed to its queue. Only called when
@@ -230,6 +266,11 @@ class TrackerManager {
       tenant_sessions_ FLUXFP_GUARDED_BY(flow_mutex_);
   /// Per-session queued counts, one slot per registered session.
   std::vector<std::uint64_t> queued_ FLUXFP_GUARDED_BY(flow_mutex_);
+  /// The pending cut (request_cut) and how many workers have yet to
+  /// capture their part of it. Its markers count in routed_flow_ and
+  /// processed_flow_, so quiesce() waits for them too.
+  std::optional<ManagerCut> cut_ FLUXFP_GUARDED_BY(flow_mutex_);
+  std::size_t cut_parts_missing_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
 };
 
 }  // namespace fluxfp::stream

@@ -42,13 +42,14 @@ void Supervisor::start() {
   manager_->start();
   // Epoch-zero baseline: a crash before the first supervision boundary
   // must have an image to restore.
-  commit_checkpoint(0);
+  commit(encode_checkpoint(manager_->checkpoint()), 0, 0, 0);
 }
 
 PushStatus Supervisor::offer(const FluxEvent& event) {
   if (!started_ || finished_ || failed_) {
     return PushStatus::kClosed;
   }
+  ++offers_;
   if (event.time > vnow_) {
     vnow_ = event.time;
   }
@@ -86,75 +87,71 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
              routed_since_manager_ > processed &&
              vnow_ - last_progress_vtime_ > config_.heartbeat_deadline) {
     ++stats_.stalls_detected;
-    FLUXFP_OBS_COUNTER_INC_SCHED(
-        "fluxfp_supervisor_stalls_total",
-        "Shards declared stalled (heartbeat lapse or failed health probe)");
+    FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_stalls_total",
+                                 "Shards declared stalled (heartbeat lapse)");
     crash_shard();
     return PushStatus::kAccepted;  // journaled; replays at restart
   }
-  bool boundary = false;
-  if (config_.checkpoint_every_events > 0 &&
-      ++accepted_since_check_ >= config_.checkpoint_every_events) {
-    accepted_since_check_ = 0;
-    boundary = true;
-  } else if (config_.checkpoint_every_epochs > 0 &&
-             manager_->epochs_fired_live() - epochs_live_at_checkpoint_ >=
-                 config_.checkpoint_every_epochs) {
-    // Epoch cadence: triggered off the relaxed live counter, made exact by
-    // the quiesce inside supervise().
-    boundary = true;
+  // Epoch cadence, triggered off the relaxed live counter; the cut's own
+  // epoch total is exact. A due boundary first waits for a pending cut.
+  const bool due =
+      config_.checkpoint_every_epochs > 0 &&
+      manager_->epochs_fired_live() - epochs_live_at_cut_ >=
+          config_.checkpoint_every_epochs;
+  if (cut_) {
+    std::optional<ManagerCut> cut = manager_->take_cut(due);
+    if (cut && !commit_cut(std::move(*cut))) {
+      return PushStatus::kAccepted;  // killed by the fault plan; replays
+    }
   }
-  if (boundary) {
-    supervise();
+  if (due && !cut_) {
+    manager_->request_cut();
+    cut_ = PendingCut{journal_.size(), offers_};
+    epochs_live_at_cut_ = manager_->epochs_fired_live();
   }
   return PushStatus::kAccepted;
 }
 
-void Supervisor::supervise() {
-  manager_->quiesce();
-  const std::uint64_t epochs = exact_epochs();
+bool Supervisor::commit_cut(ManagerCut cut) {
+  const PendingCut at = *cut_;
+  cut_.reset();
 #if defined(FLUXFP_OBS_ENABLED)
   if (obs::enabled()) {
     obs::MetricsRegistry::global()
         .gauge("fluxfp_supervisor_checkpoint_age_epochs",
                "Epochs fired since the last committed checkpoint",
                obs::Determinism::kScheduling)
-        .set(static_cast<double>(epochs - epochs_at_checkpoint_));
+        .set(static_cast<double>(cut.epochs - epochs_at_checkpoint_));
   }
 #endif
-  if (config_.fault.should_crash(epochs, stats_.crashes_injected)) {
+  if (config_.fault.should_crash(cut.epochs, stats_.crashes_injected)) {
     ++stats_.crashes_injected;
     FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_crashes_injected_total",
                                  "Shard kills injected by the fault plan");
     crash_shard();
-    return;
+    return false;
   }
-  if (config_.health_probe && !config_.health_probe(*manager_)) {
-    ++stats_.stalls_detected;
-    FLUXFP_OBS_COUNTER_INC_SCHED(
-        "fluxfp_supervisor_stalls_total",
-        "Shards declared stalled (heartbeat lapse or failed health probe)");
-    crash_shard();
-    return;
-  }
-  commit_checkpoint(epochs);
+  commit(assemble_checkpoint(cut.records), cut.epochs, at.journaled,
+         at.offers);
+  return true;
 }
 
-void Supervisor::commit_checkpoint(std::uint64_t epochs) {
-  std::string image = encode_checkpoint(manager_->checkpoint());
+void Supervisor::commit(std::string image, std::uint64_t epochs,
+                        std::size_t journaled, std::uint64_t offers) {
   // The durable copy goes first: if it throws, image_ and the journal
   // still describe the previous checkpoint.
   if (!config_.checkpoint_path.empty()) {
     write_checkpoint_file(config_.checkpoint_path, image);
   }
   image_ = std::move(image);
-  // Everything up to the cut is durable now: the journal restarts empty
-  // and the incident window closes.
-  journal_.clear();
+  // Everything up to the cut is durable now: the journal keeps only the
+  // events offered after it, and the incident window closes.
+  journal_.erase(journal_.begin(),
+                 journal_.begin() + static_cast<std::ptrdiff_t>(journaled));
   consecutive_failures_ = 0;
   epochs_at_checkpoint_ = epochs;
-  epochs_live_at_checkpoint_ = manager_->epochs_fired_live();
   stats_.checkpoint_bytes = image_.size();
+  stats_.offers_covered = offers;
   ++stats_.checkpoints;
   FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_checkpoints_total",
                                "Checkpoints committed");
@@ -170,10 +167,12 @@ void Supervisor::commit_checkpoint(std::uint64_t epochs) {
 }
 
 void Supervisor::crash_shard() {
-  // The incarnation dies taking all uncommitted state with it; the image
-  // and the journal are the durable record. (Destruction joins the
-  // workers — simulating the kill, not surviving it.)
+  // The incarnation dies taking all uncommitted state with it, a pending
+  // cut included; the image and the journal are the durable record.
+  // (Destruction joins the workers — simulating the kill, not surviving
+  // it.)
   manager_.reset();
+  cut_.reset();
   ++consecutive_failures_;
   if (consecutive_failures_ > config_.max_restarts) {
     give_up();
@@ -214,7 +213,7 @@ bool Supervisor::try_restart() {
   routed_since_manager_ = 0;
   last_processed_seen_ = 0;
   last_progress_vtime_ = vnow_;
-  epochs_live_at_checkpoint_ = 0;  // the live counter restarted with the shard
+  epochs_live_at_cut_ = 0;  // the live counter restarted with the shard
   for (const FluxEvent& e : journal_) {
     if (manager_->offer(e) == PushStatus::kAccepted) {
       ++routed_since_manager_;
@@ -252,8 +251,11 @@ void Supervisor::finish() {
   }
   manager_->finish();
   // Final post-flush image: open windows have fired, so this is the
-  // durable shutdown snapshot (what a daemon persists on SIGTERM).
-  commit_checkpoint(exact_epochs());
+  // durable shutdown snapshot (what a daemon persists on SIGTERM). It
+  // covers every offer, so a pending cut has nothing left to add.
+  cut_.reset();
+  commit(encode_checkpoint(manager_->checkpoint()), exact_epochs(),
+         journal_.size(), offers_);
   finished_ = true;
 }
 

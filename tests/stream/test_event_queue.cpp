@@ -18,6 +18,8 @@
 namespace fluxfp::stream {
 namespace {
 
+using Popped = EventQueue::Popped;
+
 FluxEvent ev(double time, std::uint32_t node) {
   return {time, 0, 0, node, 1.0};
 }
@@ -33,10 +35,10 @@ TEST(EventQueue, FifoOrderAndStats) {
   }
   FluxEvent out;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_pop(out));
+    ASSERT_EQ(q.try_pop(out), Popped::kEvent);
     EXPECT_EQ(out.node, static_cast<std::uint32_t>(i));
   }
-  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(q.try_pop(out), Popped::kNone);
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 5u);
   EXPECT_EQ(s.popped, 5u);
@@ -58,7 +60,7 @@ TEST(EventQueue, BlockPolicyIsLossless) {
   // Slow consumer: backpressure must keep every event.
   std::vector<std::uint32_t> seen;
   FluxEvent out;
-  while (q.pop(out)) {
+  while (q.pop(out) == Popped::kEvent) {
     seen.push_back(out.node);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -82,7 +84,7 @@ TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_done.load());  // full queue held the producer
   FluxEvent out;
-  ASSERT_TRUE(q.pop(out));
+  ASSERT_EQ(q.pop(out), Popped::kEvent);
   producer.join();
   EXPECT_TRUE(second_done.load());
 }
@@ -127,7 +129,7 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
     }
   }
   producer.join();
-  while (q.try_pop(out)) {
+  while (q.try_pop(out) == Popped::kEvent) {
   }
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, kEvents);
@@ -145,9 +147,9 @@ TEST(EventQueue, CloseDrainsThenStops) {
   q.close();
   EXPECT_FALSE(q.push(ev(1, 8)));  // no new events after close
   FluxEvent out;
-  EXPECT_TRUE(q.pop(out));  // but the backlog still drains
+  EXPECT_EQ(q.pop(out), Popped::kEvent);  // but the backlog still drains
   EXPECT_EQ(out.node, 7u);
-  EXPECT_FALSE(q.pop(out));
+  EXPECT_EQ(q.pop(out), Popped::kNone);
 }
 
 TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
@@ -177,9 +179,9 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   producer.join();
   EXPECT_FALSE(push_result.load());   // and reported the closure
   FluxEvent out;
-  EXPECT_TRUE(q.pop(out));  // the pre-close backlog still drains
+  EXPECT_EQ(q.pop(out), Popped::kEvent);  // the pre-close backlog still drains
   EXPECT_EQ(out.node, 0u);
-  EXPECT_FALSE(q.pop(out));
+  EXPECT_EQ(q.pop(out), Popped::kNone);
 }
 
 TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
@@ -190,12 +192,12 @@ TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
   EXPECT_FALSE(q.evict_one(77));  // no such user queued
   EXPECT_TRUE(q.evict_one(5));    // removes user 5's OLDEST event
   FluxEvent out;
-  ASSERT_TRUE(q.try_pop(out));
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.user, 9u);
-  ASSERT_TRUE(q.try_pop(out));
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.user, 5u);
   EXPECT_EQ(out.node, 12u);  // the newer of user 5's events survived
-  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(q.try_pop(out), Popped::kNone);
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 3u);
   EXPECT_EQ(s.evicted, 1u);
@@ -220,8 +222,32 @@ TEST(EventQueue, EvictOneFreesASlotForABlockedProducer) {
   producer.join();
   EXPECT_TRUE(second_done.load());
   FluxEvent out;
-  ASSERT_TRUE(q.try_pop(out));
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.user, 6u);
+}
+
+TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
+  EventQueue q(2);
+  ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
+  ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
+  ASSERT_TRUE(q.push_marker());  // full queue: a marker still never waits
+  EXPECT_EQ(q.size(), 2u);       // and is not counted as an event
+  EXPECT_TRUE(q.evict_one(5));   // an eviction ahead moves it up
+  ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
+  ASSERT_TRUE(q.push_marker());
+  FluxEvent out;
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+  EXPECT_EQ(out.node, 11u);
+  EXPECT_EQ(q.try_pop(out), Popped::kMarker);
+  EXPECT_EQ(out.node, 11u);  // a marker leaves `out` alone
+  q.close();
+  EXPECT_FALSE(q.push_marker());
+  ASSERT_EQ(q.pop(out), Popped::kEvent);  // the backlog still drains ...
+  EXPECT_EQ(out.node, 12u);
+  EXPECT_EQ(q.pop(out), Popped::kMarker);  // ... markers included
+  EXPECT_EQ(q.pop(out), Popped::kNone);
+  const QueueStats s = q.stats();
+  EXPECT_EQ(s.pushed, s.popped + s.evicted);
 }
 
 TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
@@ -249,7 +275,7 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
   std::vector<bool> seen(kProducers * kPerProducer, false);
   FluxEvent out;
   std::size_t total = 0;
-  while (q.pop(out)) {
+  while (q.pop(out) == Popped::kEvent) {
     EXPECT_FALSE(seen[out.node]);
     seen[out.node] = true;
     ++total;

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #if !defined(STREAM_DAEMON_BIN) || !defined(LOADGEN_BIN)
@@ -23,8 +26,8 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-RunResult run(const char* bin, const std::string& args) {
-  const std::string cmd = std::string(bin) + " " + args + " 2>&1";
+/// Runs a shell command line, capturing its output.
+RunResult run_shell(const std::string& cmd) {
   RunResult res;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
@@ -40,6 +43,16 @@ RunResult run(const char* bin, const std::string& args) {
   res.exit_code = (status >= 0 && WIFEXITED(status)) ? WEXITSTATUS(status)
                                                      : -1;
   return res;
+}
+
+RunResult run(const char* bin, const std::string& args) {
+  return run_shell(std::string(bin) + " " + args + " 2>&1");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 RunResult run_daemon(const std::string& args) {
@@ -137,6 +150,69 @@ TEST(StreamDaemonCli, RestoreFromAnotherDeploymentExitsOne) {
   EXPECT_NE(res.output.find("restore " + ckpt + ": "), std::string::npos)
       << res.output;
   for (const std::string& path : {trace, ckpt, ckpt + ".pos"}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(StreamDaemonCli, UnwritableCheckpointPathExitsOne) {
+  // The baseline image cannot be written: a diagnostic and exit 1, not an
+  // uncaught std::runtime_error.
+  const std::string trace = ::testing::TempDir() + "fxn_cli_unwritable.trace";
+  const std::string ckpt = "/nonexistent-dir/fxn_cli.ckpt";
+  const RunResult res =
+      run_daemon("local --sessions 1 --rounds 1 --workers 1 --trace " +
+                 trace + " --checkpoint " + ckpt);
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("checkpoint " + ckpt + ": "), std::string::npos)
+      << res.output;
+  std::remove(trace.c_str());
+}
+
+TEST(StreamDaemonCli, KilledAndRestoredRunEndsWithTheUninterruptedImage) {
+  // kill -9 a paced run once its first periodic commit has written
+  // PATH.pos, resume it with --restore, and the final image must be the
+  // uninterrupted run's, byte for byte: PATH.pos must name exactly the
+  // trace prefix the image holds, although a commit lands after its cut.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "fxn_cli_kill.trace";
+  const std::string killed = dir + "fxn_cli_kill.ckpt";
+  const std::string whole = dir + "fxn_cli_whole.ckpt";
+  for (const std::string& path :
+       {trace, killed, killed + ".pos", whole, whole + ".pos"}) {
+    std::remove(path.c_str());
+  }
+  const std::string common = std::string(STREAM_DAEMON_BIN) +
+                             " local --sessions 4 --rounds 40 --workers 2"
+                             " --seed 5 --trace " +
+                             trace;
+  const RunResult paced = run_shell(
+      common + " --speed 20 --checkpoint " + killed +
+      " > /dev/null 2>&1 & pid=$!; n=0;"
+      " while [ ! -s " + killed + ".pos ] && [ $n -lt 3000 ]; do"
+      " sleep 0.01; n=$((n + 1)); done;"
+      " kill -KILL $pid; wait $pid; echo \"exit=$?\"");
+  ASSERT_NE(paced.output.find("exit=137"), std::string::npos)
+      << "the paced run was not killed mid-stream: " << paced.output;
+  std::uint64_t covered = 0;
+  ASSERT_TRUE(static_cast<bool>(std::ifstream(killed + ".pos") >> covered));
+  EXPECT_GT(covered, 0u);
+
+  const RunResult resumed = run_shell(common + " --checkpoint " + killed +
+                                      " --restore " + killed + " 2>&1");
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+  EXPECT_NE(resumed.output.find("skipping " + std::to_string(covered)),
+            std::string::npos)
+      << resumed.output;
+  const RunResult uninterrupted =
+      run_shell(common + " --checkpoint " + whole + " 2>&1");
+  ASSERT_EQ(uninterrupted.exit_code, 0) << uninterrupted.output;
+
+  const std::string want = read_file(whole);
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(read_file(killed) == want)
+      << "killed + restored final image differs from the uninterrupted one";
+  for (const std::string& path :
+       {trace, killed, killed + ".pos", whole, whole + ".pos"}) {
     std::remove(path.c_str());
   }
 }
