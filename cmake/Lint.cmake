@@ -18,12 +18,12 @@ set(FLUXFP_LINT_SUPPRESSION_BUDGET 25 CACHE STRING
 
 # The exact audited tally; the lint fails when it drifts in EITHER
 # direction, so silently added and silently deleted allows both surface.
-# Current 18 = 8 no-raw-thread (tests/stream driving real threads)
+# Current 16 = 6 no-raw-thread (tests/stream driving real threads)
 #            + 2 no-nondeterminism (tests/numeric seeding checks)
 #            + 8 atomics-policy (lifecycle flags and relaxed hot-path
 #              stats beside a mutex: server.hpp, manager.hpp,
 #              parallel.cpp — each carries its own `-- why`).
-set(FLUXFP_LINT_SUPPRESSION_EXPECTED 18 CACHE STRING
+set(FLUXFP_LINT_SUPPRESSION_EXPECTED 16 CACHE STRING
   "Exact audited count of inline fluxfp-lint allow() suppressions")
 
 add_custom_target(lint_fluxfp

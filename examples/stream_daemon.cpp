@@ -104,14 +104,13 @@ void print_help() {
       "  --listen ADDR         endpoint (default tcp:127.0.0.1:7440;\n"
       "                        tcp port 0 = ephemeral, printed at start)\n"
       "  --tenants T           spread sessions over T tenants, session s\n"
-      "                        owned by tenant s%T, priority s (default 1)\n"
+      "                        owned by tenant s%T (default 1)\n"
       "  --token T:TOK         require token TOK for tenant T "
       "(repeatable;\n"
       "                        none = open auth)\n"
-      "  --quota N             max in-flight events per tenant "
-      "(default 0 = off)\n"
-      "  --admission P         over-quota policy: block, shed-newest,\n"
-      "                        shed-lowest (default block)\n"
+      "  --quota N             max in-flight events per tenant; a tenant\n"
+      "                        at its quota has its next event shed\n"
+      "                        (default 0 = off)\n"
       "  --queue-capacity N    per-worker ingest queue bound "
       "(default 256)\n"
       "  --checkpoint PATH     persist FLUXFPC1 snapshots to PATH\n"
@@ -195,8 +194,8 @@ struct Deployment {
 };
 
 /// Supervisor factory over the shared deployment: sessions 0..N-1, tenant
-/// s%tenants, priority s. Every incarnation gets the same construction
-/// inputs (the restore contract of the checkpoint format).
+/// s%tenants. Every incarnation gets the same construction inputs (the
+/// restore contract of the checkpoint format).
 stream::Supervisor::ManagerFactory make_factory(
     const Deployment& dep, std::size_t sessions, std::size_t tenants,
     stream::ManagerConfig mcfg, std::uint64_t seed,
@@ -208,7 +207,6 @@ stream::Supervisor::ManagerFactory make_factory(
     for (std::size_t s = 0; s < sessions; ++s) {
       stream::SessionOptions opts;
       opts.tenant = static_cast<std::uint32_t>(s % tenants);
-      opts.priority = static_cast<std::uint32_t>(s);
       m->add_session(static_cast<std::uint32_t>(s),
                      stream::StreamTracker(dep.model, dep.graph, dep.sniffed,
                                            1, tcfg, seed + 500 * (s + 1)),
@@ -514,7 +512,6 @@ int run_serve(int argc, char** argv, int first) {
   std::size_t checkpoint_epochs = 32;
   std::size_t latency_sample = 16;
   std::string checkpoint_path;
-  stream::AdmissionPolicy admission = stream::AdmissionPolicy::kBlock;
   std::map<std::uint32_t, std::uint64_t> tokens;
   ArgCursor args{argc, argv, first};
   for (; args.i < argc; ++args.i) {
@@ -539,19 +536,6 @@ int run_serve(int argc, char** argv, int first) {
       checkpoint_epochs = parse_u64(a, args.value(a));
     } else if (!std::strcmp(a, "--latency-sample")) {
       latency_sample = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--admission")) {
-      const std::string policy = args.value(a);
-      if (policy == "block") {
-        admission = stream::AdmissionPolicy::kBlock;
-      } else if (policy == "shed-newest") {
-        admission = stream::AdmissionPolicy::kShedNewest;
-      } else if (policy == "shed-lowest") {
-        admission = stream::AdmissionPolicy::kShedLowestPriority;
-      } else {
-        usage_error("--admission must be block, shed-newest, or "
-                    "shed-lowest, got '" +
-                    policy + "'");
-      }
     } else if (!std::strcmp(a, "--token")) {
       const std::string pair = args.value(a);
       const std::size_t colon = pair.find(':');
@@ -581,7 +565,6 @@ int run_serve(int argc, char** argv, int first) {
   mcfg.workers = workers;
   mcfg.queue_capacity = queue_capacity;
   mcfg.tenant_quota = quota;
-  mcfg.admission = admission;
   const auto factory =
       make_factory(dep, sessions, tenants, mcfg, seed, nullptr);
   stream::SupervisorConfig scfg;

@@ -61,10 +61,10 @@ struct ServerConfig {
 /// single coordinating thread, so EVERY supervisor interaction — offers,
 /// quiesced queries, metrics, crash injection — serializes on one ingest
 /// mutex; connection threads contend there per frame, not per event.
-/// Backpressure per admission policy flows through that lock: under
-/// kBlock an over-quota batch stalls its connection (and any connection
-/// behind the lock) until workers drain — lossless; under kShed* the
-/// offer returns immediately and the shed counts ride back on BATCH_ACK.
+/// Backpressure flows through that lock: a full worker queue stalls the
+/// offering connection (and any connection behind the lock) until the
+/// workers drain, while a tenant at its quota has its newest events shed
+/// at once and the shed counts ride back on BATCH_ACK.
 ///
 /// Queries quiesce: QUERY_ESTIMATE and METRICS drain the shard before
 /// reading, so a client that saw BATCH_ACK{accepted=n} and then queries

@@ -75,7 +75,9 @@ double percentile(std::span<const double> xs, double p) {
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // std::lerp is exact when both neighbours are equal and monotone in
+  // frac; the two-product form can land one ulp below a run of ties.
+  return std::lerp(sorted[lo], sorted[hi], frac);
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 0.5); }

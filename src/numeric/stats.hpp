@@ -17,9 +17,11 @@ double max_value(std::span<const double> xs);
 double sum(std::span<const double> xs);
 
 /// p-th percentile (p in [0,1]) with linear interpolation between order
-/// statistics. NaN samples are excluded before sorting (NaN breaks the
-/// strict weak order std::sort requires, which would make the result depend
-/// on where the NaNs sat in the input). Throws std::invalid_argument for an
+/// statistics: non-decreasing in p, and exact where both neighbours are
+/// equal (a sample of ties returns the tie for every p). NaN samples are
+/// excluded before sorting (NaN breaks the strict weak order std::sort
+/// requires, which would make the result depend on where the NaNs sat in
+/// the input). Throws std::invalid_argument for an
 /// empty span, p outside [0,1], or an all-NaN sample.
 double percentile(std::span<const double> xs, double p);
 

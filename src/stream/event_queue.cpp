@@ -67,14 +67,14 @@ bool EventQueue::push_marker() {
     if (closed_) {
       return false;
     }
-    markers_.push_back(items_.size());
+    markers_.push_back(stats_.pushed);
   }
   not_empty_.notify_one();
   return true;
 }
 
 EventQueue::Popped EventQueue::take_head_locked(FluxEvent& out) {
-  if (!markers_.empty() && markers_.front() == 0) {
+  if (!markers_.empty() && markers_.front() == stats_.popped) {
     markers_.pop_front();
     return Popped::kMarker;
   }
@@ -84,9 +84,6 @@ EventQueue::Popped EventQueue::take_head_locked(FluxEvent& out) {
   out = items_.front();
   items_.pop_front();
   ++stats_.popped;
-  for (std::size_t& ahead : markers_) {
-    --ahead;
-  }
   return Popped::kEvent;
 }
 
@@ -116,30 +113,6 @@ EventQueue::Popped EventQueue::try_pop(FluxEvent& out) {
                            "Events handed to consumers");
   }
   return got;
-}
-
-bool EventQueue::evict_one(std::uint32_t user) {
-  support::UniqueLock lock(mutex_);
-  for (auto it = items_.begin(); it != items_.end(); ++it) {
-    if (it->user == user) {
-      // Markers behind the evicted event move up one place.
-      const auto at = static_cast<std::size_t>(it - items_.begin());
-      for (std::size_t& ahead : markers_) {
-        if (ahead > at) {
-          --ahead;
-        }
-      }
-      items_.erase(it);
-      ++stats_.evicted;
-      lock.unlock();
-      not_full_.notify_one();
-      FLUXFP_OBS_COUNTER_INC_SCHED(
-          "fluxfp_stream_queue_evicted_total",
-          "Targeted removals via evict_one (priority displacement)");
-      return true;
-    }
-  }
-  return false;
 }
 
 void EventQueue::close() {

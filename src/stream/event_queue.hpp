@@ -10,12 +10,10 @@
 namespace fluxfp::stream {
 
 /// Monotonic counters describing a queue's life so far. Conservation
-/// invariant at any instant (under the lock): pushed == popped + evicted +
-/// size().
+/// invariant at any instant (under the lock): pushed == popped + size().
 struct QueueStats {
-  std::uint64_t pushed = 0;   ///< accepted events (includes later-evicted)
+  std::uint64_t pushed = 0;   ///< accepted events
   std::uint64_t popped = 0;   ///< events handed to consumers
-  std::uint64_t evicted = 0;  ///< targeted removals via evict_one()
   std::size_t max_depth = 0;  ///< high-water mark of the backlog
 };
 
@@ -24,10 +22,11 @@ struct QueueStats {
 /// contract assumes: every accepted event is delivered, so replaying a
 /// trace yields the same folding at any worker count. Load shedding, when
 /// a deployment wants it, happens before the queue (TrackerManager's
-/// AdmissionPolicy). Plain mutex + condition variables: the per-event cost
-/// is dwarfed by the filtering work downstream, and the simple protocol is
-/// trivially clean under TSan — this queue and the TrackerManager are the
-/// first cross-thread mutable state in the repo.
+/// tenant quota), and nothing leaves a queue but through its head. Plain
+/// mutex + condition variables: the per-event cost is dwarfed by the
+/// filtering work downstream, and the simple protocol is trivially clean
+/// under TSan — this queue and the TrackerManager are the first
+/// cross-thread mutable state in the repo.
 ///
 /// Besides events the queue carries cut markers: a marker sits between the
 /// events pushed before it and those pushed after, takes no slot of the
@@ -68,13 +67,6 @@ class EventQueue {
   /// open).
   Popped try_pop(FluxEvent& out);
 
-  /// Removes the oldest queued event of `user` (admission-policy
-  /// displacement: TrackerManager's kShedLowestPriority evicts a queued
-  /// low-priority event to admit a higher-priority one). Returns false
-  /// when no event of that user is queued. Frees a slot, so a producer
-  /// waiting for room is woken.
-  bool evict_one(std::uint32_t user);
-
   /// Closes the queue: subsequent pushes fail, blocked producers and the
   /// consumer wake up. Already-queued events and markers remain poppable.
   void close();
@@ -97,9 +89,9 @@ class EventQueue {
   Popped take_head_locked(FluxEvent& out) FLUXFP_REQUIRES(mutex_);
 
   std::deque<FluxEvent> items_ FLUXFP_GUARDED_BY(mutex_);
-  /// Queued markers, oldest first, each as the number of queued events
-  /// ahead of it (non-decreasing; a marker is at the head at 0).
-  std::deque<std::size_t> markers_ FLUXFP_GUARDED_BY(mutex_);
+  /// Queued markers, oldest first, each as the number of events pushed
+  /// before it: a marker is at the head once that many have been popped.
+  std::deque<std::uint64_t> markers_ FLUXFP_GUARDED_BY(mutex_);
   QueueStats stats_ FLUXFP_GUARDED_BY(mutex_);
   bool closed_ FLUXFP_GUARDED_BY(mutex_) = false;
 };

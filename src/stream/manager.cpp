@@ -69,17 +69,13 @@ void TrackerManager::start() {
   for (std::size_t w = 0; w < workers; ++w) {
     queues_.push_back(std::make_unique<EventQueue>(config_.queue_capacity));
   }
-  {
+  if (config_.tenant_quota > 0) {
     // No worker exists yet, but the admission ledger is flow-state:
     // initialize it under its mutex so there is exactly one access regime
     // (this is what the capability analysis checks).
     support::MutexLock lock(flow_mutex_);
-    queued_.assign(sessions_.size(), 0);
-    if (config_.tenant_quota > 0) {
-      for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        tenant_in_flight_[sessions_[i].options.tenant] = 0;
-        tenant_sessions_[sessions_[i].options.tenant].push_back(i);
-      }
+    for (const Session& s : sessions_) {
+      tenant_in_flight_[s.options.tenant] = 0;
     }
   }
   started_.store(true, std::memory_order_relaxed);
@@ -111,77 +107,14 @@ void TrackerManager::start() {
   }
 }
 
-PushStatus TrackerManager::admit(std::size_t session_index) {
-  const std::uint32_t tenant = sessions_[session_index].options.tenant;
-  const std::uint32_t priority = sessions_[session_index].options.priority;
-  support::UniqueLock lock(flow_mutex_);
+bool TrackerManager::admit(std::uint32_t tenant) {
+  support::MutexLock lock(flow_mutex_);
   std::uint64_t& in_flight = tenant_in_flight_.at(tenant);
   if (in_flight >= config_.tenant_quota) {
-    switch (config_.admission) {
-      case AdmissionPolicy::kBlock: {
-        ++flow_waiters_;
-        flow_cv_.wait(lock.native(), [&] {
-          flow_mutex_.assert_held();  // predicate runs under the lock
-          return flow_closed_ || in_flight < config_.tenant_quota;
-        });
-        --flow_waiters_;
-        if (flow_closed_) {
-          return PushStatus::kClosed;
-        }
-        break;
-      }
-      case AdmissionPolicy::kShedNewest: {
-        ++shed_;
-        FLUXFP_OBS_COUNTER_INC_SCHED(
-            "fluxfp_stream_quota_shed_total",
-            "Events shed because their tenant was over quota");
-        return PushStatus::kShedQuota;
-      }
-      case AdmissionPolicy::kShedLowestPriority: {
-        // Victim: the tenant's lowest-priority session that still has
-        // queued events and ranks strictly below the incoming session.
-        const std::vector<std::size_t>& members =
-            tenant_sessions_.at(tenant);
-        std::size_t victim = sessions_.size();
-        for (const std::size_t m : members) {
-          if (queued_[m] == 0 || sessions_[m].options.priority >= priority) {
-            continue;
-          }
-          if (victim == sessions_.size() ||
-              sessions_[m].options.priority <
-                  sessions_[victim].options.priority) {
-            victim = m;
-          }
-        }
-        if (victim == sessions_.size()) {
-          ++shed_;
-          FLUXFP_OBS_COUNTER_INC_SCHED(
-              "fluxfp_stream_quota_shed_total",
-              "Events shed because their tenant was over quota");
-          return PushStatus::kShedQuota;
-        }
-        // Lock order is flow -> queue; workers take them strictly in
-        // sequence (pop returns before flow is locked), so no cycle.
-        if (queues_[victim % queues_.size()]->evict_one(
-                sessions_[victim].user)) {
-          --in_flight;
-          --queued_[victim];
-          // The evicted event will never be popped: take it back out of
-          // the quiesce ledger so processed can still catch up to routed.
-          --routed_flow_;
-          FLUXFP_OBS_COUNTER_INC_SCHED(
-              "fluxfp_stream_quota_evicted_total",
-              "Queued events displaced by a higher-priority session");
-        }
-        // Evict failure means the worker drained the victim's event in
-        // the meantime — the quota has room either way.
-        break;
-      }
-    }
+    return false;
   }
   ++in_flight;
-  ++queued_[session_index];
-  return PushStatus::kAccepted;
+  return true;
 }
 
 PushStatus TrackerManager::offer(const FluxEvent& event) {
@@ -198,17 +131,13 @@ PushStatus TrackerManager::offer(const FluxEvent& event) {
   }
   const std::size_t idx = it->second;
   const bool quota = config_.tenant_quota > 0;
-  if (quota) {
-    const PushStatus admitted = admit(idx);
-    if (admitted != PushStatus::kAccepted) {
-      return admitted;
-    }
+  if (quota && !admit(sessions_[idx].options.tenant)) {
+    return PushStatus::kShedQuota;
   }
   if (!queues_[idx % queues_.size()]->push(event)) {
     if (quota) {
       support::MutexLock lock(flow_mutex_);
       --tenant_in_flight_.at(sessions_[idx].options.tenant);
-      --queued_[idx];
     }
     return PushStatus::kClosed;
   }
@@ -237,8 +166,7 @@ void TrackerManager::worker_loop(std::size_t worker) {
       continue;
     }
     // Routing guarantees the session belongs to this worker.
-    const std::size_t idx = user_index_.at(event.user);
-    Session& s = sessions_[idx];
+    Session& s = sessions_[user_index_.at(event.user)];
     epochs_fired_live_.fetch_add(s.tracker.on_event(event).size(),
                                  std::memory_order_relaxed);
     processed_live_.fetch_add(1, std::memory_order_relaxed);
@@ -250,7 +178,6 @@ void TrackerManager::worker_loop(std::size_t worker) {
       ++processed_flow_;
       if (quota) {
         --tenant_in_flight_.at(s.options.tenant);
-        --queued_[idx];
       }
     }
     flow_cv_.notify_all();
@@ -405,13 +332,6 @@ void TrackerManager::finish() {
       finished_.load(std::memory_order_relaxed)) {
     return;
   }
-  {
-    // Wake producers blocked on a tenant quota before closing the queues,
-    // so shutdown never waits on a pop that will not come.
-    support::MutexLock lock(flow_mutex_);
-    flow_closed_ = true;
-  }
-  flow_cv_.notify_all();
   for (auto& q : queues_) {
     q->close();
   }
@@ -423,7 +343,6 @@ void TrackerManager::finish() {
     const QueueStats qs = q->stats();
     final_stats_.events_routed += qs.pushed;
     final_stats_.events_processed += qs.popped;
-    final_stats_.events_evicted += qs.evicted;
   }
 #if defined(FLUXFP_OBS_ENABLED)
   if (obs::enabled()) {
@@ -438,16 +357,6 @@ void TrackerManager::finish() {
   }
 #endif
   final_stats_.unknown_user = unknown_user_.load(std::memory_order_relaxed);
-  {
-    // Copy out under the lock; final_stats_ itself is coordinator-owned
-    // (workers are joined), so it is not flow-state and stays unguarded.
-    std::uint64_t shed = 0;
-    {
-      support::MutexLock lock(flow_mutex_);
-      shed = shed_;
-    }
-    final_stats_.events_shed = shed;
-  }
   for (const Session& s : sessions_) {
     final_stats_.epochs_fired += s.tracker.stats().epochs_fired;
   }

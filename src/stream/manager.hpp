@@ -17,37 +17,23 @@
 
 namespace fluxfp::stream {
 
-/// What the service does with an event whose tenant is over quota —
-/// graceful degradation under overload, chosen per deployment.
-enum class AdmissionPolicy {
-  /// offer() blocks until the tenant drains below quota — lossless
-  /// backpressure, the default. A blocked producer observes finish()
-  /// promptly (same contract as EventQueue close()).
-  kBlock,
-  /// The incoming event is shed (offer() returns kShedQuota) — newest
-  /// work is the cheapest to lose when the tracker will re-estimate next
-  /// epoch anyway.
-  kShedNewest,
-  /// The incoming event displaces the oldest queued event of the
-  /// tenant's lowest-priority session when the incoming session outranks
-  /// it; otherwise the incoming event is shed. Keeps high-priority
-  /// sessions tracking through a low-priority flood.
-  kShedLowestPriority,
-};
-
 /// Admission outcome of one offer()ed event.
 enum class PushStatus {
   kAccepted,     ///< routed to the session's worker queue
   kUnknownUser,  ///< no such session registered (counted)
-  kShedQuota,    ///< tenant over quota and policy chose to shed (counted)
+  /// The session's tenant already had tenant_quota events in flight, so
+  /// this, its newest event, was shed. An accepted event is never shed
+  /// afterwards.
+  kShedQuota,
   kClosed,       ///< service not started, finished, or closing
 };
 
 /// Per-session admission attributes. Sessions of one tenant share that
-/// tenant's quota; priority orders sessions within a tenant for
-/// kShedLowestPriority (higher value = more important).
+/// tenant's quota.
 struct SessionOptions {
   std::uint32_t tenant = 0;
+  /// Read by nothing: admission treats a tenant's sessions alike. Kept so
+  /// callers that still set it (perfbench's stream workloads) compile.
   std::uint32_t priority = 0;
 };
 
@@ -55,18 +41,16 @@ struct SessionOptions {
 struct ManagerConfig {
   /// Worker threads events are sharded over (>= 1). Each session is pinned
   /// to one worker; per-session event order is preserved by routing, so
-  /// estimates are bit-identical at any worker count (unless a shedding
-  /// AdmissionPolicy drops events).
+  /// the same accepted events give bit-identical estimates at any worker
+  /// count.
   std::size_t workers = 1;
   /// Per-worker ingest queue bound; a full queue blocks offer().
   std::size_t queue_capacity = 256;
-  /// Max in-flight (queued, not yet folded) events per tenant; 0 disables
+  /// Max in-flight (queued, not yet folded) events per tenant: a tenant
+  /// at its quota has its next event shed (kShedQuota). 0 disables
   /// admission control entirely — the default keeps the no-quota hot path
   /// free of admission bookkeeping.
   std::size_t tenant_quota = 0;
-  /// What an over-quota tenant's next event meets. Ignored while
-  /// tenant_quota == 0.
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
 /// A consistent snapshot cut, captured by the workers (see
@@ -82,8 +66,6 @@ struct ManagerCut {
 struct ManagerStats {
   std::uint64_t events_routed = 0;     ///< accepted by offer()
   std::uint64_t events_processed = 0;  ///< popped and folded by workers
-  std::uint64_t events_shed = 0;       ///< rejected by the admission policy
-  std::uint64_t events_evicted = 0;    ///< displaced by a higher priority
   std::uint64_t unknown_user = 0;      ///< offers for unregistered sessions
   std::uint64_t epochs_fired = 0;
 };
@@ -101,9 +83,10 @@ struct ManagerStats {
 /// owns its RNG (seeded at StreamTracker construction) and consumes its own
 /// events in offer order — routing never reorders a session's events, and
 /// sessions never share mutable state. Ingest queues block rather than
-/// drop, so with no tenant quota (or AdmissionPolicy::kBlock) the same
-/// offered sequence yields bit-identical per-user estimates at ANY worker
-/// count.
+/// drop and a tenant quota sheds only at admission, so every accepted
+/// event is folded, and the same sequence of accepted events yields
+/// bit-identical per-user estimates at ANY worker count. With no tenant
+/// quota every offered event for a registered session is accepted.
 /// Worker threads hold a numeric::SerialRegionGuard, so the per-step
 /// candidate evaluation runs inline and the shared pool is left to
 /// single-threaded callers; the service's parallelism axis is sessions.
@@ -136,8 +119,9 @@ class TrackerManager {
   void start();
 
   /// Routes one event to its session's worker and reports the admission
-  /// outcome. A full queue (or a kBlock quota) makes this call wait — it
-  /// is the service's backpressure. Any thread may offer.
+  /// outcome. A full queue makes this call wait — it is the service's
+  /// backpressure; a tenant at its quota never waits, its event is shed.
+  /// Any thread may offer.
   PushStatus offer(const FluxEvent& event);
 
   /// Blocks until every event accepted so far has been folded by its
@@ -182,10 +166,10 @@ class TrackerManager {
   /// std::logic_error after start().
   void restore(const ManagerCheckpoint& cp);
 
-  /// Closes the ingest queues, wakes any producer blocked on a queue or a
-  /// tenant quota, drains and joins every worker (each worker flushes its
-  /// sessions' open windows), and freezes the stats. Safe to call once;
-  /// offer() fails afterwards.
+  /// Closes the ingest queues, wakes any producer blocked on a full queue,
+  /// drains and joins every worker (each worker flushes its sessions' open
+  /// windows), and freezes the stats. Safe to call once; offer() fails
+  /// afterwards.
   void finish();
 
   bool started() const { return started_.load(std::memory_order_relaxed); }
@@ -209,8 +193,8 @@ class TrackerManager {
   /// after finish(), and after quiesce() while nothing is being offered.
   /// Throws std::invalid_argument on an unknown user.
   const StreamTracker& session(std::uint32_t user) const;
-  /// The session's admission attributes (tenant, priority). Throws
-  /// std::invalid_argument on an unknown user.
+  /// The session's admission attributes. Throws std::invalid_argument on
+  /// an unknown user.
   const SessionOptions& session_options(std::uint32_t user) const;
 
   /// Aggregated counters; meaningful after finish().
@@ -228,10 +212,10 @@ class TrackerManager {
   /// them to the pending cut.
   void capture_cut(std::size_t worker);
   const Session& find_session(std::uint32_t user) const;
-  /// Quota admission for one event; returns the status to propagate or
-  /// kAccepted when the event may proceed to its queue. Only called when
-  /// tenant_quota > 0.
-  PushStatus admit(std::size_t session_index);
+  /// Quota admission: takes one of the tenant's in-flight slots, or
+  /// returns false when it has none left. Only called with a tenant quota
+  /// set.
+  bool admit(std::uint32_t tenant);
 
   ManagerConfig config_;
   std::vector<Session> sessions_;
@@ -250,22 +234,15 @@ class TrackerManager {
   std::atomic<std::uint64_t> processed_live_{0};     // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
 
   /// Flow accounting: routed/processed totals for quiesce(), and — when a
-  /// tenant quota is configured — per-tenant in-flight counts and
-  /// per-session queued counts for admission. One mutex guards it all;
-  /// the per-event cost is one uncontended lock, dwarfed by the SMC step.
+  /// tenant quota is configured — per-tenant in-flight counts for
+  /// admission. One mutex guards it all; the per-event cost is one
+  /// uncontended lock, dwarfed by the SMC step.
   mutable support::Mutex flow_mutex_;
   std::condition_variable flow_cv_;
   std::uint64_t routed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::uint64_t processed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
-  std::uint64_t shed_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
-  bool flow_closed_ FLUXFP_GUARDED_BY(flow_mutex_) = false;
-  std::size_t flow_waiters_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::unordered_map<std::uint32_t, std::uint64_t> tenant_in_flight_
       FLUXFP_GUARDED_BY(flow_mutex_);
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>>
-      tenant_sessions_ FLUXFP_GUARDED_BY(flow_mutex_);
-  /// Per-session queued counts, one slot per registered session.
-  std::vector<std::uint64_t> queued_ FLUXFP_GUARDED_BY(flow_mutex_);
   /// The pending cut (request_cut) and how many workers have yet to
   /// capture their part of it. Its markers count in routed_flow_ and
   /// processed_flow_, so quiesce() waits for them too.

@@ -215,7 +215,15 @@ bool Supervisor::try_restart() {
   last_progress_vtime_ = vnow_;
   epochs_live_at_cut_ = 0;  // the live counter restarted with the shard
   for (const FluxEvent& e : journal_) {
-    if (manager_->offer(e) == PushStatus::kAccepted) {
+    PushStatus status = manager_->offer(e);
+    if (status == PushStatus::kShedQuota) {
+      // The journal holds only admitted events, so none may be shed now.
+      // A quiesced shard has every tenant at zero in flight: the retry is
+      // admitted.
+      manager_->quiesce();
+      status = manager_->offer(e);
+    }
+    if (status == PushStatus::kAccepted) {
       ++routed_since_manager_;
     }
     ++stats_.replayed_events;

@@ -97,8 +97,10 @@ struct SupervisorStats {
 /// before the cut), and checkpoint + journal always reconstruct the
 /// precise accepted-event prefix, so the session states of a supervised
 /// run (and hence its images and served estimates) are bit-identical to
-/// an uninterrupted run's no matter when or how often the shard dies
-/// (under lossless admission; shedding policies lose this by design).
+/// an uninterrupted run's fed the same accepted events, no matter when or
+/// how often the shard dies. A tenant quota does not change that: the
+/// replay re-offers a journaled event the quota sheds once the shard is
+/// quiesced, so no accepted event is lost.
 /// Every restart round-trips the state through encoded FLUXFPC1 bytes —
 /// the serialized format, not the in-memory structs, is what recovery
 /// relies on.

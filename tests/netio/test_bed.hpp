@@ -49,7 +49,7 @@ struct Bed {
   }
 
   /// Factory registering `sessions` users; user u belongs to tenant
-  /// u % tenants with priority u — the same map stream_daemon serve uses.
+  /// u % tenants — the same map stream_daemon serve uses.
   stream::Supervisor::ManagerFactory factory(std::size_t sessions,
                                              std::size_t tenants,
                                              stream::ManagerConfig mc) const {
@@ -58,7 +58,6 @@ struct Bed {
       for (std::uint32_t u = 0; u < sessions; ++u) {
         stream::SessionOptions opts;
         opts.tenant = static_cast<std::uint32_t>(u % tenants);
-        opts.priority = u;
         m->add_session(u, tracker(1000 + u), opts);
       }
       return m;

@@ -1,7 +1,7 @@
 // End-to-end loopback coverage of the FXN1 server through the blocking
 // Client: handshake and auth, batch admission tallies, tenant isolation,
 // quiesced queries that are bit-identical to an in-process supervised run
-// at any worker count, snapshots, metrics, and shed-mode backpressure.
+// at any worker count, snapshots, metrics, and quota shedding.
 
 #include "netio/server.hpp"
 
@@ -214,7 +214,7 @@ TEST(Server, ForeignQueryIsIndistinguishableFromUnknownUser) {
   server.stop();
 }
 
-/// The service contract inherited from the stream layer: under kBlock the
+/// The service contract inherited from the stream layer: with no quota the
 /// wire path folds exactly what an in-process supervised run folds, at any
 /// worker count — estimates are compared bit-for-bit.
 TEST(Server, QueriedEstimatesBitIdenticalToInProcessRunAtAnyWorkerCount) {
@@ -327,7 +327,6 @@ TEST(Server, ShedNewestPolicyReportsShedOnAck) {
   mc.workers = 1;
   mc.queue_capacity = 64;
   mc.tenant_quota = 1;
-  mc.admission = stream::AdmissionPolicy::kShedNewest;
   // Every event completes an epoch and each fold takes tens of ms
   // (num_predictions cranked way up), so the one-slot quota stays pinned
   // across the whole burst: shedding is structural, not a scheduling race.

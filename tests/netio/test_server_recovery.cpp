@@ -65,7 +65,7 @@ std::vector<SessionCut> drive(const Bed& bed, std::size_t sessions,
     }
   }
   EXPECT_EQ(accepted, events.size())
-      << "kBlock + journaled deferral: nothing accepted may be lost";
+      << "no quota + journaled deferral: nothing accepted may be lost";
 
   std::vector<SessionCut> cuts(sessions);
   for (std::uint32_t u = 0; u < sessions; ++u) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <random>
+#include <vector>
 
 #include "numeric/hungarian.hpp"
 #include "numeric/linalg.hpp"
@@ -136,6 +137,32 @@ TEST_P(NumericProperty, PercentileBounds) {
   }
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), lo);
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), hi);
+}
+
+TEST_P(NumericProperty, PercentileOfTiesIsTheTie) {
+  // Interpolating between two equal order statistics must return them
+  // exactly: a p99 one ulp below the p50 of equal samples is a bug.
+  const double tie = GetParam() == 0 ? 236.441 : sym(rng) * 500.0;
+  const std::vector<double> xs(13, tie);
+  for (int k = 0; k <= 100; ++k) {
+    const double p = static_cast<double>(k) / 100.0;
+    EXPECT_EQ(percentile(xs, p), tie) << "p " << p;
+  }
+}
+
+TEST_P(NumericProperty, PercentileIsNonDecreasingInP) {
+  std::vector<double> xs;
+  for (int i = 0; i < 25; ++i) {
+    xs.push_back(sym(rng) * 500.0);
+  }
+  xs.push_back(xs[3]);  // a tie inside the sample
+  double prev = percentile(xs, 0.0);
+  for (int k = 1; k <= 100; ++k) {
+    const double p = static_cast<double>(k) / 100.0;
+    const double v = percentile(xs, p);
+    EXPECT_GE(v, prev) << "p " << p;
+    prev = v;
+  }
 }
 
 TEST_P(NumericProperty, CholeskyReconstruction) {

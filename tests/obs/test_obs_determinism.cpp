@@ -107,7 +107,7 @@ TEST(ObsDeterminism, StableExportsAreByteIdenticalAcrossRunsAndWorkers) {
   EXPECT_EQ(first.text, four.text);
   EXPECT_EQ(first.json, four.json);
 
-  // Sanity: the snapshot is not trivially empty — kBlock is lossless, so
+  // Sanity: the snapshot is not trivially empty — no quota is lossless, so
   // the (stable) push counter must equal the replayed trace exactly.
   EXPECT_NE(first.text.find("fluxfp_stream_queue_pushed_total " +
                             std::to_string(merged.size())),

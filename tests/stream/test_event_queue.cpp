@@ -184,58 +184,17 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   EXPECT_EQ(q.pop(out), Popped::kNone);
 }
 
-TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
-  EventQueue q(8);
-  ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
-  ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
-  ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
-  EXPECT_FALSE(q.evict_one(77));  // no such user queued
-  EXPECT_TRUE(q.evict_one(5));    // removes user 5's OLDEST event
-  FluxEvent out;
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
-  EXPECT_EQ(out.user, 9u);
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
-  EXPECT_EQ(out.user, 5u);
-  EXPECT_EQ(out.node, 12u);  // the newer of user 5's events survived
-  EXPECT_EQ(q.try_pop(out), Popped::kNone);
-  const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, 3u);
-  EXPECT_EQ(s.evicted, 1u);
-  EXPECT_EQ(s.popped, 2u);
-  // Conservation: pushed == popped + evicted + size().
-  EXPECT_EQ(s.pushed, s.popped + s.evicted + q.size());
-}
-
-TEST(EventQueue, EvictOneFreesASlotForABlockedProducer) {
-  EventQueue q(1);
-  ASSERT_TRUE(q.push({0.0, 4, 0, 0, 1.0}));
-  std::atomic<bool> second_done{false};
-  // fluxfp-lint: allow(no-raw-thread) -- a parked producer observing the
-  // slot evict_one() frees is the contract under test.
-  std::thread producer([&] {
-    q.push({1.0, 6, 0, 1, 1.0});
-    second_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_done.load());
-  EXPECT_TRUE(q.evict_one(4));  // displacement frees the slot
-  producer.join();
-  EXPECT_TRUE(second_done.load());
-  FluxEvent out;
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
-  EXPECT_EQ(out.user, 6u);
-}
-
 TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
   EventQueue q(2);
   ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
   ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
   ASSERT_TRUE(q.push_marker());  // full queue: a marker still never waits
   EXPECT_EQ(q.size(), 2u);       // and is not counted as an event
-  EXPECT_TRUE(q.evict_one(5));   // an eviction ahead moves it up
+  FluxEvent out;
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);  // a pop ahead moves it up
+  EXPECT_EQ(out.node, 10u);
   ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
   ASSERT_TRUE(q.push_marker());
-  FluxEvent out;
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.node, 11u);
   EXPECT_EQ(q.try_pop(out), Popped::kMarker);
@@ -247,7 +206,8 @@ TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
   EXPECT_EQ(q.pop(out), Popped::kMarker);  // ... markers included
   EXPECT_EQ(q.pop(out), Popped::kNone);
   const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, s.popped + s.evicted);
+  EXPECT_EQ(s.pushed, 3u);
+  EXPECT_EQ(s.pushed, s.popped);
 }
 
 TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {

@@ -139,7 +139,7 @@ TEST(ModelStreaming, PassiveTraceWorkerCountInvariant) {
 
 // Equal-timestamp duplicate readings for one (epoch, site) slot: the
 // LAST-pushed report wins deterministically, and the outcome is
-// bit-identical at 1 vs 4 workers — under kBlock each session's events
+// bit-identical at 1 vs 4 workers — with no quota each session's events
 // fold in push order on its single assigned worker, so worker count can
 // never become a hidden tie-break.
 TEST(ModelStreaming, EqualTimestampDuplicatesFoldIdenticallyAcrossWorkers) {

@@ -250,6 +250,65 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
   }
 }
 
+TEST(Supervisor, RestartFoldsEveryAcceptedEventUnderAQuota) {
+  // A restart replays the journal through quota admission. The journal
+  // holds only accepted events, so the replay must fold every one of them
+  // even where it outruns the tenant's quota. Quiescing every 4 offers
+  // keeps the live shard under the quota while the journal between two
+  // commits outgrows it.
+  const Bed bed;
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kQuota = 8;
+  const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 91);
+  ASSERT_GT(events.size(), 100u);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool crash : {false, true}) {
+      SupervisorConfig cfg;
+      cfg.checkpoint_every_epochs = 4;
+      cfg.backoff_base = 0.0;  // restart on the next offer
+      Supervisor sup(
+          [&bed, workers] {
+            ManagerConfig mc;
+            mc.workers = workers;
+            mc.tenant_quota = kQuota;
+            auto m = std::make_unique<TrackerManager>(mc);
+            for (std::uint32_t u = 0; u < kSessions; ++u) {
+              m->add_session(u, bed.tracker(1000 + u));  // all in tenant 0
+            }
+            return m;
+          },
+          cfg);
+      sup.start();
+      std::vector<FluxEvent> accepted;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        if (crash && i == events.size() / 2) {
+          sup.inject_crash();
+        }
+        if (i % 4 == 0) {
+          sup.quiesce();
+        }
+        const PushStatus status = sup.offer(events[i]);
+        if (status == PushStatus::kAccepted) {
+          accepted.push_back(events[i]);
+        } else {
+          EXPECT_EQ(status, PushStatus::kShedQuota) << "offer " << i;
+        }
+      }
+      sup.finish();
+      const SupervisorStats st = sup.stats();
+      EXPECT_EQ(st.restarts, crash ? 1u : 0u);
+      if (crash) {
+        EXPECT_GT(st.replayed_events, kQuota)
+            << "the replay must outgrow the quota";
+      }
+      EXPECT_EQ(sup.checkpoint_image(),
+                plain_image(bed, kSessions, 1, accepted))
+          << "workers " << workers << " crash " << crash;
+    }
+  }
+}
+
 TEST(Supervisor, FaultPlanCrashEveryNEpochsSoak) {
   // The CI soak: a fault-injected stream (transport drops/dups/stragglers)
   // into a supervised service whose shard is killed every few epochs, with

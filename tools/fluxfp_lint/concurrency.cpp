@@ -724,7 +724,7 @@ class ScopeWalker {
         toks[j + 1].kind == TokKind::kIdent &&
         is_punct(toks[j + 2], "(")) {
       if (subscripted && is_punct(nxt, "->")) {
-        // queues_[i]->evict_one(): a container of pointers — the call
+        // queues_[i]->push_marker(): a container of pointers — the call
         // mutates the pointee, not the container member itself.
         return false;
       }

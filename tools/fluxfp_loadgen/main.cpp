@@ -4,7 +4,7 @@
 // The trace is partitioned by session: connection c carries every event of
 // users u with u % M == c, so each session's events stay on one connection
 // and arrive in trace order — the property that makes accepted-event
-// folding bit-identical under AdmissionPolicy::kBlock. Connection c
+// folding bit-identical at any worker count. Connection c
 // authenticates as tenant c % T, which matches the server's session->tenant
 // map (session s belongs to tenant s % T) exactly when M is a multiple of
 // T; the tool enforces that so a foreign-event rejection is always a real
@@ -17,7 +17,8 @@
 // events_processed and the ingest-to-estimate percentiles are exact.
 //
 // --check turns the report into a gate: nonzero processed events, zero
-// error frames, and (kBlock servers) processed == accepted, or exit 1.
+// error frames, and processed == accepted (a tenant quota sheds before
+// acceptance, never after), or exit 1.
 
 #include <algorithm>
 #include <cctype>
