@@ -11,7 +11,15 @@
 # that fails it: numbers from a tree that violates the determinism or
 # locking contracts are not comparable to the committed baseline.
 #
-# --check is the perf-regression gate: a fresh run is compared
+# --check first runs the service-accuracy gate: exp_service_accuracy writes
+# a fresh ledger and bench/check_accuracy.py compares it with the committed
+# BENCH_accuracy.json; a row whose mean or p90 error rose past its bound
+# (set from the seed spread) exits 4, before any timing is taken. The
+# ledger measures error, not time, so this half needs no pinned hardware.
+# Regenerate it deliberately, after a change meant to move accuracy:
+#   build-bench/bench/exp_service_accuracy --out BENCH_accuracy.json
+#
+# --check then runs the perf-regression gate: a fresh run is compared
 # per-benchmark (median real_time) against the committed BENCH_micro.json;
 # any benchmark slower than the baseline median by more than the tolerance
 # (FLUXFP_BENCH_TOLERANCE, default 25% — sized for the reference
@@ -85,6 +93,18 @@ if [[ "$run_lint" == 1 ]]; then
 fi
 
 cmake --build "$build_dir" --target bench_micro -j "$(nproc)"
+
+if [[ "$run_check" == 1 ]]; then
+  echo "== service-accuracy gate: fresh ledger vs committed BENCH_accuracy.json =="
+  cmake --build "$build_dir" --target exp_service_accuracy -j "$(nproc)"
+  fresh_accuracy="$(mktemp /tmp/fluxfp-accuracy-XXXXXX.json)"
+  "$build_dir/bench/exp_service_accuracy" --out "$fresh_accuracy"
+  if ! python3 "$repo_root/bench/check_accuracy.py" \
+      "$repo_root/BENCH_accuracy.json" "$fresh_accuracy"; then
+    echo "run_benchmarks.sh: service-accuracy gate failed" >&2
+    exit 4
+  fi
+fi
 
 "$build_dir/bench/bench_micro" \
   --benchmark_out="$out_json" \

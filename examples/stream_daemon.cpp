@@ -35,15 +35,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/flux_model.hpp"
-#include "eval/experiment.hpp"
-#include "geom/field.hpp"
+#include "eval/service_recipe.hpp"
 #include "netio/client.hpp"
 #include "netio/server.hpp"
 #include "sim/faults.hpp"
-#include "sim/scenario.hpp"
-#include "sim/sniffer.hpp"
-#include "stream/emit.hpp"
 #include "stream/manager.hpp"
 #include "stream/supervisor.hpp"
 #include "stream/trace_io.hpp"
@@ -174,43 +169,20 @@ struct ArgCursor {
   }
 };
 
-/// The shared seeded deployment: one sensor field, one calibrated flux
-/// model, one sniffer set. Everything derives from the seed — `serve` on
-/// one host and `local --restore` on another rebuild the same network,
-/// and a snapshot taken against it restores cleanly.
-struct Deployment {
-  geom::Rng rng;
-  geom::RectField field;
-  net::UnitDiskGraph graph;
-  core::FluxModel model;
-  std::vector<std::size_t> sniffed;
-
-  explicit Deployment(std::uint64_t seed)
-      : rng(seed),
-        field(20.0, 20.0),
-        graph(eval::build_connected_network({}, field, rng)),
-        model(field, eval::estimate_d_min(graph, field, rng)),
-        sniffed(sim::sample_nodes_fraction(graph.size(), 0.12, rng)) {}
-};
-
-/// Supervisor factory over the shared deployment: sessions 0..N-1, tenant
-/// s%tenants. Every incarnation gets the same construction inputs (the
-/// restore contract of the checkpoint format).
+/// Supervisor factory over the shared deployment (eval::ServiceDeployment):
+/// sessions 0..N-1 of one user each, tenant s%tenants.
 stream::Supervisor::ManagerFactory make_factory(
-    const Deployment& dep, std::size_t sessions, std::size_t tenants,
-    stream::ManagerConfig mcfg, std::uint64_t seed,
+    const eval::ServiceDeployment& dep, std::size_t sessions,
+    std::size_t tenants, stream::ManagerConfig mcfg, std::uint64_t seed,
     const stream::ManagerCheckpoint* restored) {
-  stream::StreamTrackerConfig tcfg;
-  tcfg.expected_readings = dep.sniffed.size();
+  const stream::StreamTrackerConfig tcfg = eval::service_tracker_config(dep);
   return [&dep, sessions, tenants, mcfg, tcfg, seed, restored]() {
     auto m = std::make_unique<stream::TrackerManager>(mcfg);
     for (std::size_t s = 0; s < sessions; ++s) {
       stream::SessionOptions opts;
       opts.tenant = static_cast<std::uint32_t>(s % tenants);
       m->add_session(static_cast<std::uint32_t>(s),
-                     stream::StreamTracker(dep.model, dep.graph, dep.sniffed,
-                                           1, tcfg, seed + 500 * (s + 1)),
-                     opts);
+                     eval::make_service_tracker(dep, tcfg, s, 1, seed), opts);
     }
     if (restored != nullptr) {
       m->restore(*restored);
@@ -281,31 +253,17 @@ int run_local(int argc, char** argv, int first) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  Deployment dep(seed);
+  const eval::ServiceDeployment dep(seed);
   std::printf("network: %zu nodes, %zu sniffers, field %.0fx%.0f\n",
               dep.graph.size(), dep.sniffed.size(), 20.0, 20.0);
 
-  // Simulate each session independently with a staggered start so the
-  // merged stream interleaves sessions (asynchronous collections).
-  std::vector<std::vector<stream::FluxEvent>> per_session;
-  std::vector<std::vector<geom::Vec2>> truths(sessions);
-  for (std::size_t s = 0; s < sessions; ++s) {
-    geom::Rng srng(seed + 1000 * (s + 1));
-    sim::SimUser user;
-    user.mobility = std::make_shared<sim::RandomWaypointMobility>(
-        dep.field, 0.8, static_cast<double>(rounds) + 1.0, srng);
-    sim::ScenarioConfig scfg;
-    scfg.rounds = rounds;
-    scfg.start_time = 0.13 * static_cast<double>(s);
-    const auto obs = sim::run_scenario(dep.graph, {user}, scfg, srng);
-    for (const auto& o : obs) {
-      truths[s].push_back(o.true_positions[0]);
-    }
-    per_session.push_back(stream::scenario_events(
-        dep.graph, obs, dep.sniffed, static_cast<std::uint32_t>(s)));
-  }
-  std::vector<stream::FluxEvent> events =
-      stream::merge_by_time(per_session);
+  // One user per session; staggered starts interleave the sessions
+  // (asynchronous collections).
+  eval::ServiceSessions simulated =
+      eval::simulate_service_sessions(dep, sessions, rounds, 1, seed);
+  const std::vector<std::vector<std::vector<geom::Vec2>>>& truths =
+      simulated.truths;
+  std::vector<stream::FluxEvent> events = std::move(simulated.events);
 
   if (faulty) {
     sim::EventFaultPlan fplan;
@@ -476,7 +434,7 @@ int run_local(int argc, char** argv, int first) {
     const std::uint32_t last = tracker.save_state().last_fired_epoch;
     const double final_err =
         ss.epochs_fired > 0 && last < truths[s].size()
-            ? geom::distance(tracker.estimate(0), truths[s][last])
+            ? geom::distance(tracker.estimate(0), truths[s][last][0])
             : -1.0;
     std::printf("%7zu  %6llu  %3llu  %4llu  %6llu  %9.2f\n", s,
                 static_cast<unsigned long long>(ss.epochs_fired),
@@ -560,7 +518,7 @@ int run_serve(int argc, char** argv, int first) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  Deployment dep(seed);
+  const eval::ServiceDeployment dep(seed);
   stream::ManagerConfig mcfg;
   mcfg.workers = workers;
   mcfg.queue_capacity = queue_capacity;

@@ -25,16 +25,18 @@ class ColumnBlock {
   ColumnBlock() = default;
   ColumnBlock(std::size_t rows, std::size_t cols) { resize(rows, cols); }
 
-  /// Reshapes to rows x cols; existing contents are unspecified afterwards.
-  /// Capacity is retained across shrinks (high-water semantics), so a
-  /// reused block stops allocating once it has seen its largest batch.
+  /// Reshapes to rows x cols; existing contents are unspecified afterwards
+  /// (a grown block is left uninitialized, not zeroed: every caller writes
+  /// each column before reading it). Capacity is retained across shrinks
+  /// (high-water semantics), so a reused block stops allocating once it
+  /// has seen its largest batch.
   void resize(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
     stride_ = (rows + 7) / 8 * 8;
     const std::size_t need = stride_ * cols;
     if (need > capacity_) {
-      data_.reset(new (std::align_val_t{64}) double[need]());
+      data_.reset(new (std::align_val_t{64}) double[need]);
       capacity_ = need;
     }
   }

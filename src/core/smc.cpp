@@ -4,11 +4,25 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
+#include "numeric/arena.hpp"
 #include "obs/instrument.hpp"
 
 namespace fluxfp::core {
+
+/// Buffers step() rebuilds every round, kept at their high-water capacity:
+/// the step arena, the robust-reweighting buffers, and the per-user
+/// representative and candidate columns.
+struct SmcTracker::Scratch {
+  numeric::Arena arena;
+  std::optional<SparseObjective> robust_storage;
+  std::vector<double> robust_r;
+  std::vector<double> robust_w;
+  std::vector<std::vector<double>> rep_cols;
+  std::vector<ColumnBlock> cand_cols;
+};
 
 SmcTracker::SmcTracker(const geom::Field& field, std::size_t num_users,
                        SmcConfig config, geom::Rng& rng)
@@ -48,8 +62,6 @@ SmcTracker::SmcTracker(const geom::Field& field, std::size_t num_users,
   t_last_.assign(num_users, 0.0);
   prev_estimate_.assign(num_users, geom::Vec2{});
   heading_.assign(num_users, geom::Vec2{});
-  rep_cols_.resize(num_users);
-  cand_cols_.resize(num_users);
   const double w0 = 1.0 / static_cast<double>(config_.num_keep);
   for (ParticleSet& set : particles_) {
     set.x.reserve(config_.num_keep);
@@ -205,16 +217,20 @@ void SmcTracker::predict(std::size_t user, double radius, geom::Rng& rng,
 }
 
 SmcStepResult SmcTracker::step(double time,
-                               const SparseObjective& objective,
-                               geom::Rng& rng) {
-  return step(time, objective, rng, arena_);
-}
-
-SmcStepResult SmcTracker::step(double time,
                                const SparseObjective& raw_objective,
-                               geom::Rng& rng, numeric::Arena& arena) {
+                               geom::Rng& rng) {
+  // One scratch per thread: a step runs to completion on its thread (its
+  // own parallel regions only fill slots of these buffers), so no two
+  // steps ever hold it at once.
+  thread_local Scratch scratch;
+  numeric::Arena& arena = scratch.arena;
   arena.reset();
   const std::size_t k = num_users();
+  if (scratch.cand_cols.size() < k) {
+    scratch.rep_cols.resize(k);
+    scratch.cand_cols.resize(k);
+  }
+  std::vector<std::vector<double>>& rep_cols = scratch.rep_cols;
   SmcStepResult result;
   result.updated.assign(k, false);
   result.stretches.assign(k, 0.0);
@@ -246,14 +262,17 @@ SmcStepResult SmcTracker::step(double time,
       current[j] = estimate(j);
     }
     const StretchFit incumbent = raw_objective.fit(current);
-    raw_objective.residuals_at(current, incumbent.stretches, robust_r_);
-    robust_weights(robust_r_, config_.robust, robust_w_);
-    if (!robust_storage_) {
-      robust_storage_.emplace(raw_objective.reweighted(robust_w_));
+    raw_objective.residuals_at(current, incumbent.stretches,
+                               scratch.robust_r);
+    robust_weights(scratch.robust_r, config_.robust, scratch.robust_w);
+    if (!scratch.robust_storage) {
+      scratch.robust_storage.emplace(
+          raw_objective.reweighted(scratch.robust_w));
     } else {
-      raw_objective.reweighted_into(robust_w_, *robust_storage_);
+      raw_objective.reweighted_into(scratch.robust_w,
+                                    *scratch.robust_storage);
     }
-    obj_ptr = &*robust_storage_;
+    obj_ptr = &*scratch.robust_storage;
   }
   const SparseObjective& objective = *obj_ptr;
 
@@ -281,7 +300,7 @@ SmcStepResult SmcTracker::step(double time,
   const std::span<geom::Vec2> reps = arena.alloc<geom::Vec2>(k);
   for (std::size_t j = 0; j < k; ++j) {
     reps[j] = estimate(j);
-    objective.shape_column(reps[j], rep_cols_[j]);
+    objective.shape_column(reps[j], rep_cols[j]);
   }
 
   // Per-user scores of the *last* sweep; index into predictions(j).
@@ -308,7 +327,7 @@ SmcStepResult SmcTracker::step(double time,
       for (std::size_t c = 0; c < n_pred; ++c) {
         cand_pos[c] = predictions(j)[c].position;
       }
-      objective.shape_columns(cand_pos, cand_cols_[j]);
+      objective.shape_columns(cand_pos, scratch.cand_cols[j]);
     }
   }
   // With one user the conditional fit holds no column fixed, so a second
@@ -336,7 +355,7 @@ SmcStepResult SmcTracker::step(double time,
       std::size_t nf = 0;
       for (std::size_t s = 0; s < support_count; ++s) {
         if (support[s] != j) {
-          fixed[nf++] = rep_cols_[support[s]];
+          fixed[nf++] = rep_cols[support[s]];
         }
       }
       // Candidate column sits in the last slot of the pruned fit.
@@ -344,7 +363,7 @@ SmcStepResult SmcTracker::step(double time,
           objective, std::span<const std::span<const double>>(fixed.data(), nf),
           nf);
       const std::span<double> residuals = last_residuals(j);
-      cond.evaluate_batch(cand_cols_[j], residuals);
+      cond.evaluate_batch(scratch.cand_cols[j], residuals);
       // Serial argmin in index order: ties break to the lowest candidate
       // index exactly as the serial loop did.
       double best_res = std::numeric_limits<double>::infinity();
@@ -356,8 +375,9 @@ SmcStepResult SmcTracker::step(double time,
         }
       }
       reps[j] = predictions(j)[best_idx].position;
-      const std::span<const double> best_col = cand_cols_[j].column(best_idx);
-      rep_cols_[j].assign(best_col.begin(), best_col.end());
+      const std::span<const double> best_col =
+          scratch.cand_cols[j].column(best_idx);
+      rep_cols[j].assign(best_col.begin(), best_col.end());
     }
   }
 
@@ -379,7 +399,7 @@ SmcStepResult SmcTracker::step(double time,
       std::size_t nw = 0;
       for (std::size_t o = 0; o < k; ++o) {
         if (o != j && joint.stretches[o] > 0.0) {
-          without[nw++] = rep_cols_[o];
+          without[nw++] = rep_cols[o];
         }
       }
       const double residual_without =
@@ -494,7 +514,7 @@ SmcStepResult SmcTracker::step(double time,
     if (bad_rounds_ >= config_.divergence_rounds) {
       FLUXFP_OBS_COUNTER_INC("fluxfp_core_smc_recoveries_total",
                              "Grid-scan re-acquisitions of a lost track");
-      reseed_from_grid(time, objective, reps, arena);
+      reseed_from_grid(time, objective, reps, scratch);
       const StretchFit refit = objective.fit(reps);
       result.stretches = refit.stretches;
       result.residual = refit.residual;
@@ -510,7 +530,9 @@ SmcStepResult SmcTracker::step(double time,
 void SmcTracker::reseed_from_grid(double time,
                                   const SparseObjective& objective,
                                   std::span<geom::Vec2> reps,
-                                  numeric::Arena& arena) {
+                                  Scratch& scratch) {
+  numeric::Arena& arena = scratch.arena;
+  std::vector<std::vector<double>>& rep_cols = scratch.rep_cols;
   const std::size_t g = config_.recovery_grid;
   const std::span<geom::Vec2> grid = arena.alloc<geom::Vec2>(g * g);
   for (std::size_t iy = 0; iy < g; ++iy) {
@@ -530,7 +552,7 @@ void SmcTracker::reseed_from_grid(double time,
     std::size_t nf = 0;
     for (std::size_t o = 0; o < k; ++o) {
       if (o != j) {
-        fixed[nf++] = rep_cols_[o];
+        fixed[nf++] = rep_cols[o];
       }
     }
     const ConditionalFit cond(
@@ -554,7 +576,7 @@ void SmcTracker::reseed_from_grid(double time,
     }
     reps[j] = grid[order[0]];
     const std::span<const double> best_col = grid_cols.column(order[0]);
-    rep_cols_[j].assign(best_col.begin(), best_col.end());
+    rep_cols[j].assign(best_col.begin(), best_col.end());
     t_last_[j] = time;
     heading_[j] = geom::Vec2{};
     prev_estimate_[j] = estimate(j);

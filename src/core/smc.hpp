@@ -1,12 +1,11 @@
 #pragma once
 
 #include <array>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/nls.hpp"
 #include "geom/sampling.hpp"
-#include "numeric/arena.hpp"
 
 namespace fluxfp::core {
 
@@ -119,16 +118,16 @@ class SmcTracker {
 
   /// Processes the observation window ending at `time` (must increase
   /// across calls). `objective` wraps this window's sniffed flux.
+  ///
+  /// Every per-step buffer (prediction sets, candidate and representative
+  /// columns, residuals, orderings, the robust reweighting) is scratch of
+  /// the calling thread, not of the tracker: step() rebuilds all of it each
+  /// round, so many trackers stepped on one thread (a service worker's
+  /// sessions) share one warm set of buffers and steady-state steps stop
+  /// allocating, while a tracker itself holds only filter state. Where the
+  /// scratch lives never affects results.
   SmcStepResult step(double time, const SparseObjective& objective,
                      geom::Rng& rng);
-
-  /// As above, drawing all per-step scratch (prediction sets, candidate
-  /// residuals, orderings) from `arena`, which is reset on entry — the
-  /// streaming runtime threads one epoch arena through every step so the
-  /// hot path stops allocating. Arena choice never affects results: the
-  /// scratch holds the same values wherever it lives.
-  SmcStepResult step(double time, const SparseObjective& objective,
-                     geom::Rng& rng, numeric::Arena& arena);
 
   std::size_t num_users() const { return particles_.size(); }
   const SmcConfig& config() const { return config_; }
@@ -190,16 +189,9 @@ class SmcTracker {
   std::vector<geom::Vec2> heading_;        // unit heading, zero if unknown
   int bad_rounds_ = 0;
 
-  /// Default scratch arena for the 3-argument step() overload.
-  numeric::Arena arena_;
-  /// Round-persistent scratch reused across steps (capacity high-water):
-  /// the robust-reweighting buffers and the per-user representative /
-  /// candidate columns.
-  std::optional<SparseObjective> robust_storage_;
-  std::vector<double> robust_r_;
-  std::vector<double> robust_w_;
-  std::vector<std::vector<double>> rep_cols_;
-  std::vector<ColumnBlock> cand_cols_;
+  /// The per-thread scratch step() draws from (see step()); defined in
+  /// smc.cpp.
+  struct Scratch;
 
   struct Prediction {
     geom::Vec2 position;
@@ -212,10 +204,11 @@ class SmcTracker {
                std::span<Prediction> out) const;
 
   /// Coarse-grid re-seed of every user's particle set against `objective`
-  /// (divergence recovery). Updates reps/rep_cols_ in place. Grid scoring
-  /// runs through the parallel batch evaluator; no RNG involved.
+  /// (divergence recovery). Updates reps and the scratch's representative
+  /// columns in place. Grid scoring runs through the parallel batch
+  /// evaluator; no RNG involved.
   void reseed_from_grid(double time, const SparseObjective& objective,
-                        std::span<geom::Vec2> reps, numeric::Arena& arena);
+                        std::span<geom::Vec2> reps, Scratch& scratch);
 };
 
 }  // namespace fluxfp::core

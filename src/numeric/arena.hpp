@@ -29,9 +29,8 @@ class Arena {
   explicit Arena(std::size_t initial_bytes = 1 << 16);
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  // Movable so owners (SmcTracker, StreamTracker) stay movable; moved-from
-  // arenas are only good for destruction. Outstanding spans stay valid —
-  // the blocks travel with the arena.
+  // Movable; moved-from arenas are only good for destruction. Outstanding
+  // spans stay valid — the blocks travel with the arena.
   Arena(Arena&&) noexcept = default;
   Arena& operator=(Arena&&) noexcept = default;
 

@@ -27,7 +27,7 @@ std::size_t hardware_threads() {
 }
 
 /// FLUXFP_THREADS env var, or hardware concurrency when unset/garbage.
-std::size_t default_thread_count() {
+std::size_t resolve_default_thread_count() {
   if (const char* env = std::getenv("FLUXFP_THREADS")) {
     char* end = nullptr;
     const unsigned long v = std::strtoul(env, &end, 10);
@@ -36,6 +36,14 @@ std::size_t default_thread_count() {
     }
   }
   return hardware_threads();
+}
+
+/// The default, resolved on first use: a getenv plus a
+/// hardware_concurrency() read cost microseconds, and every parallel_for
+/// of a process that never calls set_thread_count() would pay them.
+std::size_t default_thread_count() {
+  static const std::size_t resolved = resolve_default_thread_count();
+  return resolved;
 }
 
 /// 0 = unresolved (fall back to default_thread_count()).
@@ -215,12 +223,15 @@ void parallel_for_ranges(
     return;
   }
   const std::size_t count = end - begin;
-  const std::size_t threads = thread_count();
   // Total call count is content-driven (stable across layouts); how the
   // calls split between the inline-serial and pooled paths is not.
   FLUXFP_OBS_COUNTER_INC("fluxfp_numeric_parallel_calls_total",
                          "parallel_for regions entered");
-  if (threads <= 1 || count == 1 || t_in_parallel_region) {
+  // The serial cases are tested first: a worker thread or a one-index
+  // range never needs the thread count.
+  const bool serial = t_in_parallel_region || count == 1;
+  const std::size_t threads = serial ? 1 : thread_count();
+  if (threads <= 1) {
     FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_numeric_parallel_serial_calls_total",
                                  "Regions degraded to serial inline");
     fn(begin, end);

@@ -6,13 +6,16 @@
 namespace fluxfp::numeric {
 
 /// Worker count the parallel engine will use (always >= 1). Resolution
-/// order: the last set_thread_count() value, else the FLUXFP_THREADS
-/// environment variable, else std::thread::hardware_concurrency(). A count
-/// of 1 means strictly serial execution — no pool is ever spun up.
+/// order: the last set_thread_count() value, else the default: the
+/// FLUXFP_THREADS environment variable, else
+/// std::thread::hardware_concurrency(). The default is resolved once, on
+/// first use; changing FLUXFP_THREADS after that has no effect. A count of
+/// 1 means strictly serial execution — no pool is ever spun up.
 std::size_t thread_count();
 
 /// Overrides the worker count for subsequent parallel_for calls. 0 means
-/// "auto" (hardware_concurrency). Call between parallel regions, not from
+/// "auto": back to the default above (FLUXFP_THREADS as read on first use,
+/// else hardware_concurrency). Call between parallel regions, not from
 /// inside one.
 void set_thread_count(std::size_t count);
 

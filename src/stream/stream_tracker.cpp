@@ -181,7 +181,7 @@ EpochResult StreamTracker::fire_oldest() {
                                           std::move(window.readings),
                                           std::vector<bool>());
     result.readings = objective.sample_count();
-    result.step = smc_.step(result.time, objective, rng_, epoch_arena_);
+    result.step = smc_.step(result.time, objective, rng_);
   }
 
   result.estimates.resize(smc_.num_users());

@@ -16,7 +16,16 @@ namespace fluxfp::stream {
 
 /// Policy of one streaming tracking session.
 struct StreamTrackerConfig {
-  core::SmcConfig smc;
+  /// The service tracks with N = 250 predictions per user per round, not
+  /// the paper's N = 1000 that core::SmcConfig keeps for the figure
+  /// harnesses: prediction, shape columns and candidate scoring scale with
+  /// N, and on the service-accuracy ledger (BENCH_accuracy.json) N = 250
+  /// is no less accurate than N = 1000 at 1, 2 and 3 users per session.
+  core::SmcConfig smc = [] {
+    core::SmcConfig c;
+    c.num_predictions = 250;
+    return c;
+  }();
 
   /// Event-time deadline: the oldest open epoch window fires once an event
   /// arrives whose timestamp exceeds the window's newest reading by more
@@ -197,11 +206,6 @@ class StreamTracker {
   StreamTrackerConfig config_;
   geom::Rng rng_;
   core::SmcTracker smc_;
-  /// Epoch-scoped scratch threaded through every SMC step: reset at the
-  /// start of each fired window, so steady-state epochs run allocation-free
-  /// once the arena has seen its largest step. Never checkpointed — scratch
-  /// holds no state across steps.
-  numeric::Arena epoch_arena_;
 
   std::map<std::uint32_t, Window> open_;  ///< epoch -> window, ordered
   double now_ = 0.0;          ///< newest event time seen (virtual clock)

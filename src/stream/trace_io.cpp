@@ -226,8 +226,15 @@ constexpr auto kPacingChunk = std::chrono::milliseconds(50);
 
 }  // namespace
 
-ReplayPacer::ReplayPacer(double speed, double epoch_time)
-    : speed_(speed), epoch_time_(epoch_time) {}
+ReplayPacer::Clock ReplayPacer::real_clock() {
+  return {[] { return std::chrono::steady_clock::now(); },
+          [](std::chrono::steady_clock::duration d) {
+            std::this_thread::sleep_for(d);
+          }};
+}
+
+ReplayPacer::ReplayPacer(double speed, double epoch_time, Clock clock)
+    : speed_(speed), epoch_time_(epoch_time), clock_(std::move(clock)) {}
 
 bool ReplayPacer::pace(double event_time) {
   return pace(event_time, nullptr);
@@ -239,7 +246,7 @@ bool ReplayPacer::pace(double event_time,
     return true;  // max-speed mode: no pacing, no clock reads
   }
   if (!have_origin_) {
-    wall_origin_ = std::chrono::steady_clock::now();
+    wall_origin_ = clock_.now();
     have_origin_ = true;
   }
   // Reordered traces (event-level faults) have non-monotonic times; a
@@ -249,14 +256,14 @@ bool ReplayPacer::pace(double event_time,
       wall_origin_ +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(due_offset));
-  auto now = std::chrono::steady_clock::now();
+  auto now = clock_.now();
   while (due - now > std::chrono::duration<double>(kPacingSlackSeconds)) {
     if (stop && stop()) {
       return false;
     }
-    std::this_thread::sleep_for(std::min<std::chrono::steady_clock::duration>(
+    clock_.sleep_for(std::min<std::chrono::steady_clock::duration>(
         due - now, kPacingChunk));
-    now = std::chrono::steady_clock::now();
+    now = clock_.now();
   }
   const double behind = std::chrono::duration<double>(now - due).count();
   if (behind > max_behind_) {

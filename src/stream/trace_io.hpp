@@ -172,9 +172,19 @@ std::vector<FluxEvent> read_trace_file(const std::string& path);
 /// trace clock, not on its own first event.
 class ReplayPacer {
  public:
+  /// The time source and the sleep a pacer runs on. real_clock() is
+  /// std::chrono::steady_clock with std::this_thread::sleep_for; a test
+  /// substitutes a fake to check the pacing arithmetic without the host
+  /// scheduler.
+  struct Clock {
+    std::function<std::chrono::steady_clock::time_point()> now;
+    std::function<void(std::chrono::steady_clock::duration)> sleep_for;
+  };
+  static Clock real_clock();
+
   /// speed <= 0 disables pacing entirely (max-speed mode: pace() never
   /// sleeps, never reads the clock).
-  ReplayPacer(double speed, double epoch_time);
+  ReplayPacer(double speed, double epoch_time, Clock clock = real_clock());
 
   /// Blocks until `event_time` is due. Sleeps in short chunks and polls
   /// `stop` (when provided) about every 50 ms; returns false when stopped
@@ -189,6 +199,7 @@ class ReplayPacer {
  private:
   double speed_;
   double epoch_time_;
+  Clock clock_;
   bool have_origin_ = false;
   std::chrono::steady_clock::time_point wall_origin_;
   double max_behind_ = 0.0;

@@ -159,69 +159,133 @@ TEST(BatchEvaluation, EvaluateBatchRejectsBadDimensions) {
 
 /// Full pipeline fingerprint of one fault-injected 50-round tracking run.
 struct TrackRun {
-  std::vector<geom::Vec2> estimates;  // 2 users x 50 rounds, interleaved
+  std::vector<geom::Vec2> estimates;  // users x rounds, interleaved
   std::vector<double> residuals;
   std::vector<char> recovered;
 };
 
-TrackRun run_faulty_tracking(std::size_t threads) {
-  numeric::set_thread_count(threads);
-  const World w(46);
+/// One fault-injected tracking run (robust fit, divergence recovery),
+/// stepped a round at a time so tests can interleave several runs.
+class FaultyTrack {
+ public:
+  FaultyTrack(std::uint64_t seed, std::size_t users, std::size_t predictions)
+      : world_(seed), injector_(plan(seed), world_.samples.size(),
+                                sniffers(world_.samples.size())),
+        rng_(seed + 1),
+        tracker_(world_.field, users, config(predictions), rng_) {}
 
-  sim::FaultPlan plan;
-  plan.seed = 77;
-  plan.outage_prob = 0.15;
-  plan.byzantine_fraction = 0.1;
-  plan.byzantine_gain = 4.0;
-  plan.burst_start = 20;
-  plan.burst_length = 3;
-  std::vector<std::size_t> sniffers(w.samples.size());
-  for (std::size_t i = 0; i < sniffers.size(); ++i) {
-    sniffers[i] = i;
-  }
-  sim::FaultInjector injector(plan, w.samples.size(), std::move(sniffers));
-
-  SmcConfig cfg;
-  cfg.num_predictions = 300;
-  cfg.num_keep = 10;
-  cfg.sweeps = 2;
-  cfg.divergence_recovery = true;
-  cfg.recovery_grid = 12;
-  cfg.robust.loss = RobustLoss::kHuber;
-  cfg.robust.reweight_rounds = 1;
-
-  geom::Rng rng(47);
-  SmcTracker tracker(w.field, 2, cfg, rng);
-
-  TrackRun out;
-  for (int round = 1; round <= 50; ++round) {
+  void step(int round) {
     const double r = static_cast<double>(round);
     const std::vector<geom::Vec2> truths{
         {3.0 + 0.45 * r, 10.0 + 0.2 * r}, {27.0 - 0.45 * r, 22.0 - 0.15 * r}};
-    std::vector<double> readings = w.readings(truths, {2.0, 2.5});
-    injector.begin_round(round);
-    injector.corrupt(readings);
-    const SparseObjective obj(w.model, w.samples, std::move(readings));
-    const SmcStepResult res = tracker.step(r, obj, rng);
-    out.estimates.push_back(tracker.estimate(0));
-    out.estimates.push_back(tracker.estimate(1));
-    out.residuals.push_back(res.residual);
-    out.recovered.push_back(res.recovered ? 1 : 0);
+    const std::vector<double> stretches{2.0, 2.5};
+    const auto k = static_cast<long>(tracker_.num_users());
+    std::vector<double> readings =
+        world_.readings({truths.begin(), truths.begin() + k},
+                        {stretches.begin(), stretches.begin() + k});
+    injector_.begin_round(round);
+    injector_.corrupt(readings);
+    const SparseObjective obj(world_.model, world_.samples,
+                              std::move(readings));
+    const SmcStepResult res = tracker_.step(r, obj, rng_);
+    for (std::size_t j = 0; j < tracker_.num_users(); ++j) {
+      run.estimates.push_back(tracker_.estimate(j));
+    }
+    run.residuals.push_back(res.residual);
+    run.recovered.push_back(res.recovered ? 1 : 0);
   }
-  return out;
+
+  TrackRun run;
+
+ private:
+  static sim::FaultPlan plan(std::uint64_t seed) {
+    sim::FaultPlan plan;
+    plan.seed = seed + 31;
+    plan.outage_prob = 0.15;
+    plan.byzantine_fraction = 0.1;
+    plan.byzantine_gain = 4.0;
+    plan.burst_start = 20;
+    plan.burst_length = 3;
+    return plan;
+  }
+  static std::vector<std::size_t> sniffers(std::size_t n) {
+    std::vector<std::size_t> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = i;
+    }
+    return out;
+  }
+  static SmcConfig config(std::size_t predictions) {
+    SmcConfig cfg;
+    cfg.num_predictions = predictions;
+    cfg.num_keep = 10;
+    cfg.sweeps = 2;
+    cfg.divergence_recovery = true;
+    cfg.recovery_grid = 12;
+    cfg.robust.loss = RobustLoss::kHuber;
+    cfg.robust.reweight_rounds = 1;
+    return cfg;
+  }
+
+  World world_;
+  sim::FaultInjector injector_;
+  geom::Rng rng_;
+  SmcTracker tracker_;
+};
+
+TrackRun run_faulty_tracking(std::size_t threads) {
+  numeric::set_thread_count(threads);
+  FaultyTrack track(46, 2, 300);
+  for (int round = 1; round <= 50; ++round) {
+    track.step(round);
+  }
+  return track.run;
+}
+
+void expect_same_run(const TrackRun& a, const TrackRun& b) {
+  ASSERT_EQ(a.estimates.size(), b.estimates.size());
+  for (std::size_t i = 0; i < a.estimates.size(); ++i) {
+    ASSERT_EQ(a.estimates[i], b.estimates[i]) << "estimate " << i;
+  }
+  EXPECT_EQ(a.residuals, b.residuals);
+  EXPECT_EQ(a.recovered, b.recovered);
 }
 
 TEST(PipelineDeterminism, SmcTrackerBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  const TrackRun serial = run_faulty_tracking(1);
-  const TrackRun parallel = run_faulty_tracking(4);
-  ASSERT_EQ(serial.estimates.size(), parallel.estimates.size());
-  for (std::size_t i = 0; i < serial.estimates.size(); ++i) {
-    ASSERT_EQ(serial.estimates[i], parallel.estimates[i])
-        << "round " << i / 2 + 1 << " user " << i % 2;
+  expect_same_run(run_faulty_tracking(1), run_faulty_tracking(4));
+}
+
+TEST(PipelineDeterminism, TrackersSteppedAlternatelyMatchEachSteppedAlone) {
+  // Step scratch belongs to the thread, not the tracker: two trackers of
+  // different shapes (users, N) stepped in turn on one thread share it,
+  // and each must still produce exactly its solo run.
+  ThreadCountGuard guard;
+  numeric::set_thread_count(1);
+  FaultyTrack solo_a(46, 2, 300);
+  FaultyTrack solo_b(58, 1, 120);
+  FaultyTrack mixed_a(46, 2, 300);
+  FaultyTrack mixed_b(58, 1, 120);
+  for (int round = 1; round <= 50; ++round) {
+    solo_a.step(round);
   }
-  EXPECT_EQ(serial.residuals, parallel.residuals);
-  EXPECT_EQ(serial.recovered, parallel.recovered);
+  for (int round = 1; round <= 50; ++round) {
+    solo_b.step(round);
+  }
+  for (int round = 1; round <= 50; ++round) {
+    mixed_b.step(round);
+    mixed_a.step(round);
+  }
+  expect_same_run(solo_a.run, mixed_a.run);
+  expect_same_run(solo_b.run, mixed_b.run);
+  bool any_recovery = false;
+  for (const char r : solo_a.run.recovered) {
+    any_recovery = any_recovery || r != 0;
+  }
+  for (const char r : solo_b.run.recovered) {
+    any_recovery = any_recovery || r != 0;
+  }
+  EXPECT_TRUE(any_recovery) << "the runs should exercise the grid re-seed";
 }
 
 TEST(PipelineDeterminism, InstantLocalizerBitIdenticalAcrossThreadCounts) {
