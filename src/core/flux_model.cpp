@@ -75,17 +75,4 @@ bool FluxModel::shape_row(geom::Vec2 sink, const double* qx, const double* qy,
       circle_radius_, d_min_, l_degenerate, qx, qy, n, out);
 }
 
-double FluxModel::continuous_flux(geom::Vec2 sink, geom::Vec2 node,
-                                  double s) const {
-  return s * shape(sink, node);
-}
-
-double FluxModel::discrete_flux(geom::Vec2 sink, geom::Vec2 node, double s,
-                                double r) const {
-  if (!(r > 0.0)) {
-    throw std::invalid_argument("FluxModel::discrete_flux: r must be > 0");
-  }
-  return (s / r) * shape(sink, node);
-}
-
 }  // namespace fluxfp::core

@@ -61,13 +61,6 @@ class FluxModel final : public ObservationModel {
   bool shape_row(geom::Vec2 sink, const double* qx, const double* qy,
                  std::size_t n, double* out) const;
 
-  /// Continuous-model flux (Eq. 3.2): s * shape.
-  double continuous_flux(geom::Vec2 sink, geom::Vec2 node, double s) const;
-
-  /// Discrete-model flux (Eq. 3.4): (s/r) * shape.
-  double discrete_flux(geom::Vec2 sink, geom::Vec2 node, double s,
-                       double r) const;
-
   // ObservationModel backend: point sites, site.a is the sniffer position.
   ModelId id() const override { return ModelId::kFlux; }
   std::unique_ptr<ObservationModel> clone() const override {

@@ -105,13 +105,6 @@ SparseObjective::SparseObjective(const ObservationModel& model,
     : SparseObjective(model.clone(), std::move(sites), std::move(measured),
                       std::vector<bool>()) {}
 
-SparseObjective::SparseObjective(const ObservationModel& model,
-                                 std::vector<Site> sites,
-                                 std::vector<double> measured,
-                                 const std::vector<bool>& valid)
-    : SparseObjective(model.clone(), std::move(sites), std::move(measured),
-                      valid) {}
-
 SparseObjective::SparseObjective(std::shared_ptr<const ObservationModel> model,
                                  std::vector<Site> sites,
                                  std::vector<double> measured,
@@ -362,29 +355,6 @@ void SparseObjective::reweighted_into(std::span<const double> weights,
     out.measured_[i] = measured_[i] * s;
   }
   out.measured_norm_ = numeric::norm(out.measured_);
-}
-
-StretchFit SparseObjective::fit_robust(std::span<const geom::Vec2> sinks,
-                                       const RobustFitConfig& config) const {
-  StretchFit fit = this->fit(sinks);
-  if (config.loss == RobustLoss::kNone || sample_positions_.empty()) {
-    return fit;
-  }
-  // Residual/weight buffers live across the IRLS rounds instead of being
-  // reallocated inside each one.
-  std::vector<double> r;
-  std::vector<double> w;
-  for (int round = 0; round < config.reweight_rounds; ++round) {
-    residuals_at(sinks, fit.stretches, r);
-    robust_weights(r, config, w);
-    const StretchFit weighted = reweighted(w).fit(sinks);
-    fit.stretches = weighted.stretches;
-  }
-  // Report the robust stretches at their *unweighted* residual so results
-  // stay comparable with plain fits.
-  residuals_at(sinks, fit.stretches, r);
-  fit.residual = numeric::norm(r);
-  return fit;
 }
 
 namespace {

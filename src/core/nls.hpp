@@ -150,13 +150,11 @@ class SparseObjective {
                   std::vector<geom::Vec2> sample_positions,
                   std::vector<double> measured, const std::vector<bool>& valid);
 
-  /// Site-vector forms for link models (and uniformly for any backend):
+  /// Site-vector form for link models (and uniformly for any backend):
   /// site i carries both endpoints. Duplicate collapse compares BOTH
   /// endpoints, so distinct links sharing one sniffer stay distinct rows.
   SparseObjective(const ObservationModel& model, std::vector<Site> sites,
                   std::vector<double> measured);
-  SparseObjective(const ObservationModel& model, std::vector<Site> sites,
-                  std::vector<double> measured, const std::vector<bool>& valid);
 
   /// Sharing form for per-epoch hot loops (the streaming runtime): the
   /// model is shared, not cloned, so building an objective per epoch costs
@@ -228,13 +226,6 @@ class SparseObjective {
   /// storage seeded once via reweighted().
   void reweighted_into(std::span<const double> weights,
                        SparseObjective& out) const;
-
-  /// Convenience robust fit: plain fit, then config.reweight_rounds of
-  /// (residuals -> robust_weights -> reweighted fit). The returned
-  /// residual/stretches are evaluated on the *unweighted* objective so
-  /// they stay comparable with plain fit() results.
-  StretchFit fit_robust(std::span<const geom::Vec2> sinks,
-                        const RobustFitConfig& config) const;
 
  private:
   /// Fills exactly out.size() == sample_count() entries; no resize.

@@ -16,7 +16,7 @@ namespace fluxfp::core {
 /// the profiled stretch is the per-user attenuation gain in dB at the
 /// ellipse axis. Observations live on sniffer PAIRS: sites_are_links() is
 /// true and both Site endpoints are meaningful (net::enumerate_links +
-/// net::gather_link_readings produce them).
+/// eval::link_sites produce them).
 ///
 /// Denominator guard (the flux d_min pattern): |ab| -> 0 for a degenerate
 /// self-link would blow up the 1/sqrt weight, so the denominator is

@@ -1,6 +1,5 @@
 #include "eval/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -91,14 +90,6 @@ void Config::merge(const Config& overrides) {
                      overrides.positional_.end());
 }
 
-bool Config::has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
-void Config::set(const std::string& key, std::string value) {
-  values_[key] = std::move(value);
-}
-
 std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
   const auto it = values_.find(key);
@@ -139,34 +130,6 @@ long Config::get_int(const std::string& key, long fallback) const {
     throw std::runtime_error("Config: key '" + key +
                              "' is not an integer: " + it->second);
   }
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") {
-    return true;
-  }
-  if (v == "0" || v == "false" || v == "no" || v == "off") {
-    return false;
-  }
-  throw std::runtime_error("Config: key '" + key +
-                           "' is not a boolean: " + it->second);
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) {
-    out.push_back(k);
-  }
-  return out;
 }
 
 }  // namespace fluxfp::eval

@@ -32,19 +32,13 @@ class Config {
   /// Merges `overrides` into this config (overrides win).
   void merge(const Config& overrides);
 
-  bool has(const std::string& key) const;
-  void set(const std::string& key, std::string value);
-
   /// Typed getters: return `fallback` when the key is absent; throw
   /// std::runtime_error when present but not convertible.
   std::string get_string(const std::string& key,
                          const std::string& fallback = "") const;
   double get_double(const std::string& key, double fallback) const;
   long get_int(const std::string& key, long fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
 
-  /// All keys, sorted.
-  std::vector<std::string> keys() const;
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:

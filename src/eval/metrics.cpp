@@ -45,16 +45,4 @@ double matched_max_error(std::span<const geom::Vec2> estimates,
   return numeric::max_value(errors);
 }
 
-ErrorSummary summarize(std::span<const double> errors) {
-  ErrorSummary s;
-  s.count = errors.size();
-  if (errors.empty()) {
-    return s;
-  }
-  s.mean = numeric::mean(errors);
-  s.stddev = numeric::stddev(errors);
-  s.max = numeric::max_value(errors);
-  return s;
-}
-
 }  // namespace fluxfp::eval

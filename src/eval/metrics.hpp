@@ -27,14 +27,4 @@ double matched_max_error(std::span<const geom::Vec2> estimates,
 std::vector<double> matched_errors(std::span<const geom::Vec2> estimates,
                                    std::span<const geom::Vec2> truths);
 
-/// Summary statistics of a sample of errors.
-struct ErrorSummary {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double max = 0.0;
-  std::size_t count = 0;
-};
-
-ErrorSummary summarize(std::span<const double> errors);
-
 }  // namespace fluxfp::eval

@@ -40,10 +40,6 @@ Vec2 Polyline::at_arclength(double s) const {
   return lerp(points_[i - 1], points_[i], t);
 }
 
-Vec2 Polyline::at_fraction(double t) const {
-  return at_arclength(std::clamp(t, 0.0, 1.0) * length());
-}
-
 double Polyline::distance_to(Vec2 p) const {
   if (points_.empty()) {
     throw std::logic_error("Polyline::distance_to on empty polyline");

@@ -27,10 +27,6 @@ class Polyline {
   /// Throws std::logic_error on an empty polyline.
   Vec2 at_arclength(double s) const;
 
-  /// Point at normalized parameter `t` in [0,1] (clamped), proportional to
-  /// arc length.
-  Vec2 at_fraction(double t) const;
-
   /// Distance from `p` to the nearest point on the polyline. Throws
   /// std::logic_error on an empty polyline.
   double distance_to(Vec2 p) const;

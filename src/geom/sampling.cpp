@@ -30,12 +30,6 @@ Vec2 uniform_in_disc_clipped(Vec2 center, double radius,
   return field.clamp(uniform_in_disc(center, radius, rng));
 }
 
-Vec2 uniform_on_circle(Vec2 center, double radius, Rng& rng) {
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const double theta = 2.0 * std::numbers::pi * unit(rng);
-  return center + Vec2{radius * std::cos(theta), radius * std::sin(theta)};
-}
-
 std::vector<Vec2> uniform_points(const Field& field, std::size_t count,
                                  Rng& rng) {
   std::vector<Vec2> pts;

@@ -27,9 +27,6 @@ Vec2 uniform_in_disc_clipped(Vec2 center, double radius,
                              const Field& field, Rng& rng,
                              int max_tries = 64);
 
-/// Uniform point on the circle of radius `radius` around `center`.
-Vec2 uniform_on_circle(Vec2 center, double radius, Rng& rng);
-
 /// `count` i.i.d. uniform points in the field.
 std::vector<Vec2> uniform_points(const Field& field, std::size_t count,
                                  Rng& rng);

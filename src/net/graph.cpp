@@ -137,37 +137,6 @@ std::size_t UnitDiskGraph::nearest_node(geom::Vec2 p) const {
   return best;
 }
 
-std::vector<std::size_t> UnitDiskGraph::nodes_within(geom::Vec2 p,
-                                                     double r) const {
-  std::vector<std::size_t> out;
-  const double r2 = r * r;
-  const long reach = static_cast<long>(r / cell_) + 1;
-  const long gx = static_cast<long>(
-      std::clamp((p.x - min_x_) / cell_, 0.0,
-                 static_cast<double>(grid_w_ - 1)));
-  const long gy = static_cast<long>(
-      std::clamp((p.y - min_y_) / cell_, 0.0,
-                 static_cast<double>(grid_h_ - 1)));
-  for (long dy = -reach; dy <= reach; ++dy) {
-    for (long dx = -reach; dx <= reach; ++dx) {
-      const long nx = gx + dx;
-      const long ny = gy + dy;
-      if (nx < 0 || ny < 0 || nx >= static_cast<long>(grid_w_) ||
-          ny >= static_cast<long>(grid_h_)) {
-        continue;
-      }
-      for (std::size_t j : buckets_[static_cast<std::size_t>(ny) * grid_w_ +
-                                    static_cast<std::size_t>(nx)]) {
-        if (geom::distance2(p, positions_[j]) <= r2) {
-          out.push_back(j);
-        }
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 bool UnitDiskGraph::is_connected() const {
   std::vector<bool> seen(size(), false);
   std::vector<std::size_t> stack{0};

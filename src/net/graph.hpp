@@ -33,9 +33,6 @@ class UnitDiskGraph {
   /// Index of the node closest to `p` (ties broken toward lower index).
   std::size_t nearest_node(geom::Vec2 p) const;
 
-  /// Indices of nodes within `r` of `p` (inclusive).
-  std::vector<std::size_t> nodes_within(geom::Vec2 p, double r) const;
-
   /// True if the graph is a single connected component.
   bool is_connected() const;
 

@@ -1,7 +1,5 @@
 #include "net/links.hpp"
 
-#include <stdexcept>
-
 #include "geom/vec2.hpp"
 
 namespace fluxfp::net {
@@ -22,20 +20,6 @@ std::vector<Link> enumerate_links(const UnitDiskGraph& graph,
     }
   }
   return links;
-}
-
-std::vector<double> gather_link_readings(std::span<const double> link_values,
-                                         std::span<const std::size_t> links) {
-  std::vector<double> readings;
-  readings.reserve(links.size());
-  for (std::size_t i : links) {
-    if (i >= link_values.size()) {
-      throw std::invalid_argument(
-          "gather_link_readings: link index out of range");
-    }
-    readings.push_back(link_values[i]);
-  }
-  return readings;
 }
 
 }  // namespace fluxfp::net

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -23,13 +22,5 @@ struct Link {
 /// on short links); 0 keeps all.
 std::vector<Link> enumerate_links(const UnitDiskGraph& graph,
                                   double max_length = 0.0);
-
-/// The readings a link-monitoring deployment gathers from a per-link
-/// value map: link_values[links[i]] for each sniffed link index, in
-/// order. Missing entries (kMissingReading) stay missing — same
-/// no-evidence semantics as gather_readings. Throws
-/// std::invalid_argument when a link index is out of range.
-std::vector<double> gather_link_readings(std::span<const double> link_values,
-                                         std::span<const std::size_t> links);
 
 }  // namespace fluxfp::net

@@ -1,5 +1,6 @@
 #include "netio/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -125,6 +126,9 @@ const char* kind_name(WireError::Kind kind) {
   }
   return "unknown";
 }
+
+/// FrameReader reads a payload in steps of this many bytes.
+constexpr std::size_t kPayloadReadStep = 64 * 1024;
 
 /// Reads exactly `n` bytes. Returns the count actually obtained (== n on
 /// success); sets `bad` on a transport error.
@@ -258,12 +262,20 @@ FrameReader::Status FrameReader::read(Frame& out) {
     return Status::kError;
   }
   out.type = static_cast<FrameType>(raw_type);
-  out.payload.resize(length);
-  if (length > 0) {
+  // The buffer grows one read step at a time as bytes arrive, so a declared
+  // length costs nothing until the peer sends it. A payload of up to one
+  // step takes one resize and one read.
+  out.payload.clear();
+  std::size_t body = 0;
+  while (body < length) {
+    const std::size_t step = std::min<std::size_t>(length - body,
+                                                   kPayloadReadStep);
+    out.payload.resize(body + step);
     bad = false;
-    const std::size_t body =
-        read_exact(*src_, out.payload.data(), length, bad);
-    if (body != length) {
+    const std::size_t got_step =
+        read_exact(*src_, out.payload.data() + body, step, bad);
+    body += got_step;
+    if (got_step != step) {
       error_ = WireError{bad ? WireError::Kind::kBadStream
                              : WireError::Kind::kTruncatedPayload,
                          offset_ + kFrameHeaderBytes + body,

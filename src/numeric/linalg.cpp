@@ -122,9 +122,4 @@ std::optional<std::vector<double>> qr_least_squares(
   return x;
 }
 
-double residual_norm(const Matrix& a, const std::vector<double>& x,
-                     const std::vector<double>& b) {
-  return norm(subtract(a * x, b));
-}
-
 }  // namespace fluxfp::numeric

@@ -19,8 +19,4 @@ std::optional<std::vector<double>> cholesky_solve(const Matrix& a,
 std::optional<std::vector<double>> qr_least_squares(
     const Matrix& a, const std::vector<double>& b);
 
-/// Residual norm ||A x - b||_2.
-double residual_norm(const Matrix& a, const std::vector<double>& x,
-                     const std::vector<double>& b);
-
 }  // namespace fluxfp::numeric

@@ -1,7 +1,6 @@
 #include "numeric/matrix.hpp"
 
 #include <cmath>
-#include <ostream>
 
 namespace fluxfp::numeric {
 
@@ -18,28 +17,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
     }
     data_.insert(data_.end(), row.begin(), row.end());
   }
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at: index out of range");
-  }
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at: index out of range");
-  }
-  return (*this)(r, c);
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 1.0;
-  }
-  return m;
 }
 
 Matrix Matrix::transposed() const {
@@ -69,36 +46,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix add: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] += rhs.data_[i];
-  }
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix subtract: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] -= rhs.data_[i];
-  }
-  return out;
-}
-
-Matrix Matrix::operator*(double k) const {
-  Matrix out = *this;
-  for (double& v : out.data_) {
-    v *= k;
-  }
-  return out;
-}
-
 std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
   if (cols_ != v.size()) {
     throw std::invalid_argument("Matrix*vector: dimension mismatch");
@@ -114,42 +61,12 @@ std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
   return out;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) {
-    acc += v * v;
-  }
-  return std::sqrt(acc);
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      os << m(r, c) << (c + 1 < m.cols() ? ", " : "");
-    }
-    os << (r + 1 < m.rows() ? ";\n" : "]");
-  }
-  return os;
-}
-
 double norm(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) {
     acc += x * x;
   }
   return std::sqrt(acc);
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("dot: size mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += a[i] * b[i];
-  }
-  return acc;
 }
 
 std::vector<double> subtract(const std::vector<double>& a,

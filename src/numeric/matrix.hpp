@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <stdexcept>
 #include <vector>
 
@@ -30,25 +29,13 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access; throws std::out_of_range.
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
-
   const std::vector<double>& data() const { return data_; }
-
-  static Matrix identity(std::size_t n);
 
   Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix operator*(double k) const;
 
   /// Matrix-vector product; throws std::invalid_argument on size mismatch.
   std::vector<double> operator*(const std::vector<double>& v) const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
   friend bool operator==(const Matrix& a, const Matrix& b) = default;
 
@@ -58,12 +45,8 @@ class Matrix {
   std::vector<double> data_;
 };
 
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
 /// Euclidean norm of a vector.
 double norm(const std::vector<double>& v);
-/// Dot product; throws std::invalid_argument on size mismatch.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
 /// a - b, element-wise; throws std::invalid_argument on size mismatch.
 std::vector<double> subtract(const std::vector<double>& a,
                              const std::vector<double>& b);

@@ -135,7 +135,7 @@ NnlsResult nnls(const Matrix& a, const std::vector<double>& b, int max_iter) {
 }
 
 double nnls_single(std::span<const double> f, std::span<const double> b) {
-  // Serial accumulation, same order as numeric::dot on vectors.
+  // Serial accumulation in index order.
   double ff = 0.0;
   for (std::size_t i = 0; i < f.size(); ++i) {
     ff += f[i] * f[i];

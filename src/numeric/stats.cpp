@@ -30,13 +30,6 @@ double stddev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double min_value(std::span<const double> xs) {
-  if (xs.empty()) {
-    throw std::invalid_argument("min_value: empty span");
-  }
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double max_value(std::span<const double> xs) {
   if (xs.empty()) {
     throw std::invalid_argument("max_value: empty span");
@@ -80,8 +73,6 @@ double percentile(std::span<const double> xs, double p) {
   return std::lerp(sorted[lo], sorted[hi], frac);
 }
 
-double median(std::span<const double> xs) { return percentile(xs, 0.5); }
-
 EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
     : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
@@ -96,41 +87,6 @@ double EmpiricalCdf::evaluate(double v) const {
          static_cast<double>(sorted_.size());
 }
 
-double EmpiricalCdf::quantile(double p) const {
-  if (sorted_.empty() || p <= 0.0 || p > 1.0) {
-    throw std::invalid_argument("EmpiricalCdf::quantile: bad input");
-  }
-  const std::size_t idx = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted_.size()))) - 1;
-  return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::add(double v) {
-  const double t = (v - lo_) / (hi_ - lo_);
-  auto bin = static_cast<long>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp(bin, 0L, static_cast<long>(counts_.size()) - 1L);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * w;
-}
-
-double Histogram::fraction(std::size_t i) const {
-  return total_ == 0 ? 0.0
-                     : static_cast<double>(counts_.at(i)) /
-                           static_cast<double>(total_);
-}
-
 void RunningStats::add(double v) {
   if (n_ == 0) {
     min_ = max_ = v;
@@ -139,15 +95,7 @@ void RunningStats::add(double v) {
     max_ = std::max(max_, v);
   }
   ++n_;
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (v - mean_);
+  mean_ += (v - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace fluxfp::numeric

@@ -84,18 +84,4 @@ void Countermeasure::apply(net::FluxMap& flux,
   }
 }
 
-const char* to_string(CountermeasureKind kind) {
-  switch (kind) {
-    case CountermeasureKind::kNone:
-      return "none";
-    case CountermeasureKind::kConstantPadding:
-      return "constant-padding";
-    case CountermeasureKind::kDummyTrees:
-      return "dummy-trees";
-    case CountermeasureKind::kStretchJitter:
-      return "stretch-jitter";
-  }
-  return "?";
-}
-
 }  // namespace fluxfp::privacy

@@ -52,6 +52,4 @@ class Countermeasure {
   mutable double last_overhead_ = 0.0;
 };
 
-const char* to_string(CountermeasureKind kind);
-
 }  // namespace fluxfp::privacy

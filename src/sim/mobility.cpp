@@ -1,7 +1,6 @@
 #include "sim/mobility.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace fluxfp::sim {
@@ -38,82 +37,6 @@ RandomWaypointMobility::RandomWaypointMobility(const geom::Field& field,
 
 geom::Vec2 RandomWaypointMobility::position_at(double time) const {
   return path_.at_arclength(std::max(0.0, time) * speed_);
-}
-
-GaussMarkovMobility::GaussMarkovMobility(const geom::Field& field,
-                                         geom::Vec2 start, double mean_speed,
-                                         double memory, double sigma,
-                                         double step_dt, double duration,
-                                         geom::Rng& rng)
-    : step_dt_(step_dt) {
-  if (!(step_dt > 0.0) || memory < 0.0 || memory >= 1.0 ||
-      !(mean_speed >= 0.0) || sigma < 0.0) {
-    throw std::invalid_argument("GaussMarkovMobility: bad parameters");
-  }
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  std::uniform_real_distribution<double> angle(0.0, 2.0 * 3.14159265358979);
-  const double a0 = angle(rng);
-  // Mean velocity: a random fixed heading at mean_speed.
-  const geom::Vec2 v_mean{mean_speed * std::cos(a0),
-                          mean_speed * std::sin(a0)};
-  geom::Vec2 v = v_mean;
-  geom::Vec2 cur = field.clamp(start);
-  path_.push_back(cur);
-  const double noise = sigma * std::sqrt(1.0 - memory * memory);
-  const auto steps = static_cast<std::size_t>(std::ceil(duration / step_dt));
-  for (std::size_t i = 0; i < steps; ++i) {
-    v = v * memory + v_mean * (1.0 - memory) +
-        geom::Vec2{noise * gauss(rng), noise * gauss(rng)};
-    cur = field.clamp(cur + v * step_dt);
-    path_.push_back(cur);
-  }
-}
-
-geom::Vec2 GaussMarkovMobility::position_at(double time) const {
-  if (path_.size() == 1) {
-    return path_.points().front();
-  }
-  const double steps = std::max(0.0, time) / step_dt_;
-  const double max_steps = static_cast<double>(path_.size() - 1);
-  const double clamped = std::min(steps, max_steps);
-  const auto i = static_cast<std::size_t>(clamped);
-  if (i + 1 >= path_.size()) {
-    return path_.points().back();
-  }
-  return geom::lerp(path_.points()[i], path_.points()[i + 1],
-                    clamped - static_cast<double>(i));
-}
-
-RandomWalkMobility::RandomWalkMobility(const geom::Field& field,
-                                       geom::Vec2 start, double step_radius,
-                                       double step_dt, double duration,
-                                       geom::Rng& rng)
-    : step_dt_(step_dt) {
-  if (!(step_dt > 0.0) || !(step_radius >= 0.0)) {
-    throw std::invalid_argument("RandomWalkMobility: bad step parameters");
-  }
-  geom::Vec2 cur = field.clamp(start);
-  path_.push_back(cur);
-  const auto steps = static_cast<std::size_t>(std::ceil(duration / step_dt));
-  for (std::size_t i = 0; i < steps; ++i) {
-    cur = geom::uniform_in_disc_clipped(cur, step_radius, field, rng);
-    path_.push_back(cur);
-  }
-}
-
-geom::Vec2 RandomWalkMobility::position_at(double time) const {
-  if (path_.size() == 1) {
-    return path_.points().front();
-  }
-  const double steps = std::max(0.0, time) / step_dt_;
-  const double max_steps = static_cast<double>(path_.size() - 1);
-  const double clamped = std::min(steps, max_steps);
-  const auto i = static_cast<std::size_t>(clamped);
-  if (i + 1 >= path_.size()) {
-    return path_.points().back();
-  }
-  return geom::lerp(path_.points()[i], path_.points()[i + 1], clamped -
-                    static_cast<double>(i));
 }
 
 }  // namespace fluxfp::sim

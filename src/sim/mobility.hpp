@@ -57,37 +57,4 @@ class RandomWaypointMobility final : public MobilityModel {
   double speed_;
 };
 
-/// Gauss–Markov mobility (standard in WSN simulation): the velocity is an
-/// AR(1) process v_t = a*v_{t-1} + (1-a)*v_mean + sigma*sqrt(1-a^2)*w_t,
-/// pre-generated on a grid of `step_dt` steps over [0, duration], with the
-/// trajectory clamped into the field. `memory` = a in [0,1): 0 is a random
-/// walk, ->1 is nearly straight-line motion.
-class GaussMarkovMobility final : public MobilityModel {
- public:
-  GaussMarkovMobility(const geom::Field& field, geom::Vec2 start,
-                      double mean_speed, double memory, double sigma,
-                      double step_dt, double duration, geom::Rng& rng);
-  geom::Vec2 position_at(double time) const override;
-
- private:
-  geom::Polyline path_;
-  double step_dt_;
-};
-
-/// Brownian-style random walk on a grid of time steps `step_dt`, with each
-/// step uniform in a disc of radius `step_radius`, reflected into the field.
-/// Pre-generated over [0, duration]; positions between steps are
-/// interpolated linearly.
-class RandomWalkMobility final : public MobilityModel {
- public:
-  RandomWalkMobility(const geom::Field& field, geom::Vec2 start,
-                     double step_radius, double step_dt, double duration,
-                     geom::Rng& rng);
-  geom::Vec2 position_at(double time) const override;
-
- private:
-  geom::Polyline path_;
-  double step_dt_;
-};
-
 }  // namespace fluxfp::sim

@@ -88,17 +88,4 @@ std::vector<std::size_t> sample_nodes_stratified(
   return out;
 }
 
-std::vector<double> gather(const net::FluxMap& flux,
-                           std::span<const std::size_t> nodes) {
-  std::vector<double> out;
-  out.reserve(nodes.size());
-  for (std::size_t i : nodes) {
-    if (i >= flux.size()) {
-      throw std::out_of_range("gather: node index out of range");
-    }
-    out.push_back(flux[i]);
-  }
-  return out;
-}
-
 }  // namespace fluxfp::sim

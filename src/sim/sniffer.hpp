@@ -1,10 +1,8 @@
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "geom/sampling.hpp"
-#include "net/flux.hpp"
 #include "net/graph.hpp"
 
 namespace fluxfp::sim {
@@ -17,10 +15,6 @@ std::vector<std::size_t> sample_nodes(std::size_t n, std::size_t count,
 /// Picks ceil(fraction * n) distinct node indices (fraction in (0,1]).
 std::vector<std::size_t> sample_nodes_fraction(std::size_t n, double fraction,
                                                geom::Rng& rng);
-
-/// Reads the flux values at the sniffed nodes, in the order given.
-std::vector<double> gather(const net::FluxMap& flux,
-                           std::span<const std::size_t> nodes);
 
 /// Spatially stratified sniffer placement: the node positions' bounding
 /// box is divided into ~count cells and one node is drawn per occupied

@@ -124,11 +124,6 @@ void EventQueue::close() {
   not_full_.notify_all();
 }
 
-bool EventQueue::closed() const {
-  support::MutexLock lock(mutex_);
-  return closed_;
-}
-
 std::size_t EventQueue::size() const {
   support::MutexLock lock(mutex_);
   return items_.size();

@@ -71,7 +71,6 @@ class EventQueue {
   /// consumer wake up. Already-queued events and markers remain poppable.
   void close();
 
-  bool closed() const;
   /// Queued events (markers are not counted).
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }

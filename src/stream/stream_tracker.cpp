@@ -237,6 +237,20 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
           "StreamTracker: snapshot windows not in ascending epoch order");
     }
   }
+  // Window sets on_event() never leaves behind: collect_ripe() fires the
+  // oldest window while more than max_open_epochs are open, and once an
+  // epoch has fired, events for it or an older one are dropped as late.
+  if (state.open.size() > config_.max_open_epochs) {
+    throw std::invalid_argument(
+        "StreamTracker: snapshot holds more open windows than "
+        "max_open_epochs");
+  }
+  if (state.stats.epochs_fired > 0 && !state.open.empty() &&
+      state.open.front().epoch <= state.last_fired_epoch) {
+    throw std::invalid_argument(
+        "StreamTracker: snapshot holds a window for an epoch that already "
+        "fired");
+  }
   geom::Rng restored_rng;
   {
     std::istringstream is(state.rng);

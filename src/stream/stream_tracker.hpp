@@ -179,9 +179,10 @@ class StreamTracker {
   /// Restores a snapshot from a tracker with the same sniffer count.
   /// Throws std::invalid_argument on malformed state (window slot counts
   /// that do not match this tracker's sniffer set, non-ascending window
-  /// epochs, an unparseable RNG stream, particles or weights the filter
-  /// cannot produce — see SmcTracker::restore_state) — the checkpoint
-  /// layer converts these into typed errors.
+  /// epochs, more than max_open_epochs open windows, a window for an epoch
+  /// that already fired, an unparseable RNG stream, particles or weights
+  /// the filter cannot produce — see SmcTracker::restore_state) — the
+  /// checkpoint layer converts these into typed errors.
   void restore_state(const StreamTrackerState& state);
 
  private:

@@ -236,10 +236,6 @@ ReplayPacer::Clock ReplayPacer::real_clock() {
 ReplayPacer::ReplayPacer(double speed, double epoch_time, Clock clock)
     : speed_(speed), epoch_time_(epoch_time), clock_(std::move(clock)) {}
 
-bool ReplayPacer::pace(double event_time) {
-  return pace(event_time, nullptr);
-}
-
 bool ReplayPacer::pace(double event_time,
                        const std::function<bool()>& stop) {
   if (speed_ <= 0.0) {

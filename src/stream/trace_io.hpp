@@ -187,9 +187,8 @@ class ReplayPacer {
   ReplayPacer(double speed, double epoch_time, Clock clock = real_clock());
 
   /// Blocks until `event_time` is due. Sleeps in short chunks and polls
-  /// `stop` (when provided) about every 50 ms; returns false when stopped
+  /// `stop` (when non-null) about every 50 ms; returns false when stopped
   /// before the deadline, true when the event is due for delivery.
-  bool pace(double event_time);
   bool pace(double event_time, const std::function<bool()>& stop);
 
   /// Worst observed lag (seconds) between a deadline and its release; 0.0

@@ -1,6 +1,5 @@
 #include "trace/ap.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace fluxfp::trace {
@@ -25,33 +24,6 @@ std::vector<AccessPoint> grid_aps(const geom::RectField& field,
     }
   }
   return aps;
-}
-
-std::vector<AccessPoint> random_aps(const geom::Field& field,
-                                    std::size_t count, geom::Rng& rng) {
-  std::vector<AccessPoint> aps;
-  aps.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    aps.push_back(
-        {i, geom::uniform_in_field(field, rng), "AP" + std::to_string(i)});
-  }
-  return aps;
-}
-
-std::size_t nearest_ap(std::span<const AccessPoint> aps, geom::Vec2 p) {
-  if (aps.empty()) {
-    throw std::invalid_argument("nearest_ap: no APs");
-  }
-  std::size_t best = 0;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < aps.size(); ++i) {
-    const double d2 = geom::distance2(aps[i].position, p);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = i;
-    }
-  }
-  return best;
 }
 
 std::vector<std::size_t> ap_neighbors(std::span<const AccessPoint> aps,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "geom/field.hpp"
-#include "geom/sampling.hpp"
 #include "geom/vec2.hpp"
 
 namespace fluxfp::trace {
@@ -24,13 +23,6 @@ struct AccessPoint {
 /// (inset half a cell from the boundary), named "APr-c".
 std::vector<AccessPoint> grid_aps(const geom::RectField& field,
                                   std::size_t rows, std::size_t cols);
-
-/// `count` uniformly placed APs named "APi".
-std::vector<AccessPoint> random_aps(const geom::Field& field,
-                                    std::size_t count, geom::Rng& rng);
-
-/// Index of the AP nearest to `p`. Throws std::invalid_argument when empty.
-std::size_t nearest_ap(std::span<const AccessPoint> aps, geom::Vec2 p);
 
 /// Indices of APs within `radius` of aps[i] (excluding i) — the "walkable
 /// neighbors" used by the trace generator's mobility.

@@ -1,10 +1,6 @@
 #include "trace/format.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
 #include <unordered_set>
 
 namespace fluxfp::trace {
@@ -32,50 +28,6 @@ std::vector<TraceEvent> Trace::events_of(const std::string& user) const {
               return a.time < b.time;
             });
   return out;
-}
-
-void write_events_csv(std::ostream& os, const Trace& trace) {
-  os << "user,time,ap\n";
-  for (const TraceEvent& e : trace.events) {
-    os << e.user << ',' << e.time << ',' << e.ap << '\n';
-  }
-}
-
-std::vector<TraceEvent> read_events_csv(std::istream& is) {
-  std::vector<TraceEvent> events;
-  std::string line;
-  bool first = true;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) {
-      continue;
-    }
-    if (first) {
-      first = false;
-      if (line.rfind("user,", 0) == 0) {
-        continue;  // header
-      }
-    }
-    std::istringstream ss(line);
-    TraceEvent e;
-    std::string time_str;
-    std::string ap_str;
-    if (!std::getline(ss, e.user, ',') || !std::getline(ss, time_str, ',') ||
-        !std::getline(ss, ap_str)) {
-      throw std::runtime_error("read_events_csv: malformed line " +
-                               std::to_string(lineno));
-    }
-    try {
-      e.time = std::stod(time_str);
-      e.ap = static_cast<std::size_t>(std::stoul(ap_str));
-    } catch (const std::exception&) {
-      throw std::runtime_error("read_events_csv: bad number on line " +
-                               std::to_string(lineno));
-    }
-    events.push_back(std::move(e));
-  }
-  return events;
 }
 
 }  // namespace fluxfp::trace

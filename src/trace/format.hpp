@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -28,13 +27,5 @@ struct Trace {
   /// All events of one user, time-ordered.
   std::vector<TraceEvent> events_of(const std::string& user) const;
 };
-
-/// Serializes events as CSV lines "user,time,ap" (header included).
-void write_events_csv(std::ostream& os, const Trace& trace);
-
-/// Parses the CSV produced by write_events_csv into `trace.events`
-/// (the AP set must be supplied separately). Throws std::runtime_error on
-/// malformed input.
-std::vector<TraceEvent> read_events_csv(std::istream& is);
 
 }  // namespace fluxfp::trace

@@ -27,17 +27,6 @@ TEST(FluxModel, MatchesClosedFormOnAxis) {
   EXPECT_DOUBLE_EQ(m.shape({15, 15}, {20, 15}), 20.0);
 }
 
-TEST(FluxModel, ContinuousAndDiscreteScaling) {
-  const geom::RectField f(30.0, 30.0);
-  const FluxModel m(f, 1.0);
-  const double phi = m.shape({15, 15}, {20, 15});
-  EXPECT_DOUBLE_EQ(m.continuous_flux({15, 15}, {20, 15}, 2.0), 2.0 * phi);
-  EXPECT_DOUBLE_EQ(m.discrete_flux({15, 15}, {20, 15}, 2.0, 0.5),
-                   4.0 * phi);
-  EXPECT_THROW(m.discrete_flux({15, 15}, {20, 15}, 1.0, 0.0),
-               std::invalid_argument);
-}
-
 TEST(FluxModel, ZeroAtBoundaryAlongRay) {
   // Node on the boundary in the ray direction: l = d, shape = 0.
   const geom::RectField f(30.0, 30.0);
@@ -79,10 +68,7 @@ TEST(FluxModel, RejectsNonFinitePositions) {
   EXPECT_THROW(m.shape({nan, 15}, {20, 15}), std::invalid_argument);
   EXPECT_THROW(m.shape({15, 15}, {20, nan}), std::invalid_argument);
   EXPECT_THROW(m.shape({inf, 15}, {20, 15}), std::invalid_argument);
-  EXPECT_THROW(m.continuous_flux({15, nan}, {20, 15}, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(m.discrete_flux({15, 15}, {inf, 15}, 1.0, 0.5),
-               std::invalid_argument);
+  EXPECT_THROW(m.shape({15, 15}, {inf, 15}), std::invalid_argument);
 }
 
 TEST(FluxModel, DegenerateNodeAtSink) {

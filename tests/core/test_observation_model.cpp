@@ -91,28 +91,9 @@ TEST(FluxModelAdapter, CloneIsIndependentAndEquivalent) {
 }
 
 // -------------------------------------------------------------------------
-// Satellite audit: the r -> 0 guard of Eq. 3.4 and its analogues in the
-// new models' denominators.
+// Denominator guards of the RSS-link and passive models: the analogues of
+// the flux model's d_min clamp.
 // -------------------------------------------------------------------------
-
-TEST(DiscreteFluxGuard, RejectsNonPositiveRadiusConsistently) {
-  const geom::RectField field(30.0, 30.0);
-  const FluxModel model(field, 1.2);
-  const geom::Vec2 sink{10.0, 10.0};
-  const geom::Vec2 node{12.0, 14.0};
-  EXPECT_THROW(model.discrete_flux(sink, node, 2.0, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(model.discrete_flux(sink, node, 2.0, -1.0),
-               std::invalid_argument);
-  EXPECT_THROW(model.discrete_flux(sink, node, 2.0, kNan),
-               std::invalid_argument);
-  // r = epsilon is legal and finite: the guard rejects, never clamps, so
-  // tiny-but-positive radii scale as written.
-  const double eps = 1e-12;
-  const double f = model.discrete_flux(sink, node, 2.0, eps);
-  EXPECT_TRUE(std::isfinite(f));
-  EXPECT_EQ(f, (2.0 / eps) * model.shape(sink, node));
-}
 
 TEST(RssLinkModel, ConstructorGuardsDenominators) {
   // lambda and min_link_length both sit in denominators; zero, negative,

@@ -56,20 +56,5 @@ TEST(Metrics, MatchAssignmentIsPermutation) {
   EXPECT_EQ(assign, (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(Metrics, SummarizeBasics) {
-  const std::vector<double> errors{1.0, 2.0, 3.0};
-  const ErrorSummary s = summarize(errors);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_NEAR(s.stddev, 1.0, 1e-12);
-}
-
-TEST(Metrics, SummarizeEmpty) {
-  const ErrorSummary s = summarize(std::vector<double>{});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 }  // namespace
 }  // namespace fluxfp::eval

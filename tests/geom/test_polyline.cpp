@@ -47,13 +47,6 @@ TEST(Polyline, AtArclengthCrossesCorners) {
   EXPECT_EQ(p.at_arclength(5.0), Vec2(3, 2));
 }
 
-TEST(Polyline, AtFraction) {
-  const Polyline p({{0, 0}, {3, 0}, {3, 4}});
-  EXPECT_EQ(p.at_fraction(0.0), Vec2(0, 0));
-  EXPECT_EQ(p.at_fraction(1.0), Vec2(3, 4));
-  EXPECT_EQ(p.at_fraction(0.5), Vec2(3, 0.5));
-}
-
 TEST(Polyline, DistanceToSegmentInterior) {
   const Polyline p({{0, 0}, {10, 0}});
   EXPECT_DOUBLE_EQ(p.distance_to({5, 3}), 3.0);

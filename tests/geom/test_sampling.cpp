@@ -68,14 +68,6 @@ TEST(Sampling, UniformInDiscClippedDegenerateFallsBackToClamp) {
   EXPECT_TRUE(f.contains(p));
 }
 
-TEST(Sampling, UniformOnCircleExactRadius) {
-  Rng rng(23);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_NEAR(distance(uniform_on_circle({3, 4}, 2.0, rng), {3, 4}), 2.0,
-                1e-12);
-  }
-}
-
 TEST(Sampling, UniformPointsCount) {
   const RectField f(5.0, 5.0);
   Rng rng(29);

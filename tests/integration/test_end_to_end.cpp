@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/localizer.hpp"
-#include "core/adversary.hpp"
 #include "core/smc.hpp"
 #include "eval/experiment.hpp"
 #include "net/routing.hpp"
@@ -153,16 +152,20 @@ TEST(EndToEnd, AsynchronousTraceReplayRunsAndTracks) {
   }
 }
 
-TEST(EndToEnd, AdversaryFacadeOverPacketLevelCounts) {
+TEST(EndToEnd, SmcTrackerOverPacketLevelCounts) {
   // The deepest stack: discrete-event packet simulation produces raw
-  // per-node frame counts; the Adversary facade (sniffer + model
-  // calibration + SMC tracker) consumes them directly and still tracks
-  // the moving sink.
+  // per-node frame counts; the adversary (a 10% sniffer set, d_min
+  // calibrated on one probe tree, the SMC tracker) consumes them directly
+  // and still tracks the moving sink.
   Pipeline p(120);
   geom::Rng rng(121);
-  core::AdversaryConfig acfg;
-  acfg.tracker.num_predictions = 500;
-  core::Adversary adversary(p.field, p.graph, acfg, rng);
+  const std::vector<std::size_t> sniffed =
+      sim::sample_nodes_fraction(p.graph.size(), 0.10, rng);
+  const core::FluxModel model(p.field,
+                              eval::estimate_d_min(p.graph, p.field, rng));
+  core::SmcConfig scfg;
+  scfg.num_predictions = 500;
+  core::SmcTracker tracker(p.field, 1, scfg, rng);
 
   sim::PacketSimConfig pcfg;
   pcfg.loss_prob = 0.05;  // a mildly lossy real radio
@@ -175,9 +178,11 @@ TEST(EndToEnd, AdversaryFacadeOverPacketLevelCounts) {
         net::build_collection_tree(p.graph, truth, rng);
     const sim::PacketSimResult res =
         packet_sim.simulate(p.graph, tree, 2.0, rng);
-    adversary.observe(static_cast<double>(round), res.tx_counts, rng);
+    tracker.step(static_cast<double>(round),
+                 eval::make_objective(model, p.graph, res.tx_counts, sniffed),
+                 rng);
   }
-  EXPECT_LT(geom::distance(adversary.estimate(0), truth), 3.5);
+  EXPECT_LT(geom::distance(tracker.estimate(0), truth), 3.5);
 }
 
 TEST(EndToEnd, SparserSamplingDegradesAccuracy) {

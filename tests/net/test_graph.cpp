@@ -98,13 +98,6 @@ TEST(UnitDiskGraph, NearestNodeOutsideField) {
   EXPECT_EQ(g.nearest_node({100, 100}), 1u);
 }
 
-TEST(UnitDiskGraph, NodesWithin) {
-  const UnitDiskGraph g({{0, 0}, {1, 0}, {2, 0}, {10, 10}}, 1.5);
-  EXPECT_EQ(g.nodes_within({0, 0}, 1.2), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(g.nodes_within({0, 0}, 2.5), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_TRUE(g.nodes_within({-5, -5}, 1.0).empty());
-}
-
 TEST(UnitDiskGraph, Connectivity) {
   const UnitDiskGraph connected({{0, 0}, {1, 0}, {2, 0}}, 1.1);
   EXPECT_TRUE(connected.is_connected());

@@ -7,13 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <vector>
 
 #include "geom/field.hpp"
 #include "geom/sampling.hpp"
 #include "net/deployment.hpp"
-#include "net/flux.hpp"
 
 namespace fluxfp::net {
 namespace {
@@ -66,22 +64,6 @@ TEST(EnumerateLinks, MaxLengthFiltersLongLinks) {
     }
   }
   EXPECT_EQ(j, kept.size());
-}
-
-TEST(GatherLinkReadings, GathersInOrderAndKeepsMissing) {
-  const std::vector<double> values{0.5, 1.5, kMissingReading, 3.5};
-  const std::vector<std::size_t> sniffed{3, 0, 2};
-  const std::vector<double> got = gather_link_readings(values, sniffed);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], 3.5);
-  EXPECT_EQ(got[1], 0.5);
-  EXPECT_TRUE(is_missing(got[2]));
-}
-
-TEST(GatherLinkReadings, RejectsOutOfRangeIndex) {
-  const std::vector<double> values{0.5, 1.5};
-  const std::vector<std::size_t> bad{0, 2};
-  EXPECT_THROW(gather_link_readings(values, bad), std::invalid_argument);
 }
 
 }  // namespace

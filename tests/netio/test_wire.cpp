@@ -373,6 +373,23 @@ TEST(FrameReader, TruncatedPayloadMidFrameIsTyped) {
   EXPECT_GT(reader.error()->offset, 0u);
 }
 
+TEST(FrameReader, DeclaredLengthCostsNothingUntilSent) {
+  // A header declaring the largest payload the limits allow, then 10 bytes:
+  // the buffer holds at most one 64 KiB read step, not the declared 1 MiB.
+  const auto declared = static_cast<std::uint32_t>(WireLimits{}.max_payload);
+  std::string stream =
+      encode_frame(FrameType::kEventBatch, std::string(10, 'x'));
+  std::memcpy(stream.data() + 8, &declared, sizeof(declared));
+  ASSERT_EQ(stream.size(), 22u);
+  StringSource src(stream);
+  FrameReader reader(src);
+  Frame frame;
+  ASSERT_EQ(reader.read(frame), FrameReader::Status::kError);
+  EXPECT_EQ(reader.error()->kind, WireError::Kind::kTruncatedPayload);
+  EXPECT_EQ(reader.error()->offset, 22u);
+  EXPECT_LE(frame.payload.capacity(), 64u * 1024);
+}
+
 TEST(FrameReader, TransportFailureIsBadStream) {
   FailingSource src(
       encode_frame(FrameType::kHello, encode_hello(HelloMsg{})).substr(0, 6));

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace fluxfp::numeric {
 namespace {
 
@@ -33,23 +31,6 @@ TEST(Matrix, InitializerListRejectsRagged) {
   EXPECT_THROW(Matrix({{1, 2}, {3}}), std::invalid_argument);
 }
 
-TEST(Matrix, AtBoundsChecked) {
-  Matrix m(2, 2);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
-  EXPECT_THROW(m.at(0, 2), std::out_of_range);
-  m.at(1, 1) = 7.0;
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 7.0);
-}
-
-TEST(Matrix, Identity) {
-  const Matrix i = Matrix::identity(3);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
-    }
-  }
-}
-
 TEST(Matrix, Transpose) {
   const Matrix m{{1, 2, 3}, {4, 5, 6}};
   const Matrix t = m.transposed();
@@ -68,24 +49,13 @@ TEST(Matrix, Multiply) {
 
 TEST(Matrix, MultiplyByIdentity) {
   const Matrix a{{1, 2}, {3, 4}};
-  EXPECT_EQ(a * Matrix::identity(2), a);
-  EXPECT_EQ(Matrix::identity(2) * a, a);
+  const Matrix identity{{1, 0}, {0, 1}};
+  EXPECT_EQ(a * identity, a);
+  EXPECT_EQ(identity * a, a);
 }
 
 TEST(Matrix, MultiplyDimensionMismatchThrows) {
   EXPECT_THROW(Matrix(2, 3) * Matrix(2, 3), std::invalid_argument);
-}
-
-TEST(Matrix, AddSubtract) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{4, 3}, {2, 1}};
-  EXPECT_EQ(a + b, Matrix({{5, 5}, {5, 5}}));
-  EXPECT_EQ(a - a, Matrix(2, 2, 0.0));
-  EXPECT_THROW(a + Matrix(3, 2), std::invalid_argument);
-}
-
-TEST(Matrix, ScalarMultiply) {
-  EXPECT_EQ(Matrix({{1, 2}}) * 2.0, Matrix({{2, 4}}));
 }
 
 TEST(Matrix, MatrixVectorProduct) {
@@ -99,24 +69,9 @@ TEST(Matrix, MatrixVectorProduct) {
   EXPECT_THROW(a * wrong, std::invalid_argument);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  EXPECT_DOUBLE_EQ(Matrix({{3, 0}, {0, 4}}).frobenius_norm(), 5.0);
-}
-
-TEST(Matrix, StreamOutput) {
-  std::ostringstream ss;
-  ss << Matrix{{1, 2}};
-  EXPECT_EQ(ss.str(), "[1, 2]");
-}
-
 TEST(VectorOps, Norm) {
   EXPECT_DOUBLE_EQ(norm({3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(norm({}), 0.0);
-}
-
-TEST(VectorOps, Dot) {
-  EXPECT_DOUBLE_EQ(dot({1, 2, 3}, {4, 5, 6}), 32.0);
-  EXPECT_THROW(dot({1}, {1, 2}), std::invalid_argument);
 }
 
 TEST(VectorOps, Subtract) {

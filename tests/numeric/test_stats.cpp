@@ -23,10 +23,9 @@ TEST(Stats, Stddev) {
 
 TEST(Stats, MinMaxSum) {
   const std::vector<double> xs{3, -1, 7, 2};
-  EXPECT_DOUBLE_EQ(min_value(xs), -1.0);
   EXPECT_DOUBLE_EQ(max_value(xs), 7.0);
   EXPECT_DOUBLE_EQ(sum(xs), 11.0);
-  EXPECT_THROW(min_value(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW(max_value(std::vector<double>{}), std::invalid_argument);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -40,7 +39,7 @@ TEST(Stats, PercentileInterpolates) {
 
 TEST(Stats, PercentileUnsortedInput) {
   const std::vector<double> xs{5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(median(xs), 3.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 3.0);
 }
 
 TEST(Stats, PercentileRejectsBadInput) {
@@ -72,7 +71,6 @@ TEST(Stats, PercentileIgnoresNanWhereverItSits) {
   EXPECT_DOUBLE_EQ(percentile(nan_ends, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(percentile(nan_mid, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(nan_mid, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(median(nan_ends), 2.5);
 }
 
 TEST(Stats, PercentileAllNanThrows) {
@@ -81,15 +79,12 @@ TEST(Stats, PercentileAllNanThrows) {
                std::invalid_argument);
 }
 
-TEST(EmpiricalCdf, EvaluateAndQuantile) {
+TEST(EmpiricalCdf, Evaluate) {
   const EmpiricalCdf cdf({4, 1, 3, 2});
   EXPECT_DOUBLE_EQ(cdf.evaluate(0.5), 0.0);
   EXPECT_DOUBLE_EQ(cdf.evaluate(1.0), 0.25);
   EXPECT_DOUBLE_EQ(cdf.evaluate(2.5), 0.5);
   EXPECT_DOUBLE_EQ(cdf.evaluate(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 4.0);
-  EXPECT_THROW(cdf.quantile(0.0), std::invalid_argument);
 }
 
 TEST(EmpiricalCdf, MonotonicInValue) {
@@ -102,26 +97,6 @@ TEST(EmpiricalCdf, MonotonicInValue) {
   }
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(-3.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.fraction(2), 0.2);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(RunningStats, MatchesBatchStats) {
   const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
   RunningStats rs;
@@ -130,7 +105,6 @@ TEST(RunningStats, MatchesBatchStats) {
   }
   EXPECT_EQ(rs.count(), xs.size());
   EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-12);
   EXPECT_DOUBLE_EQ(rs.min(), 2.0);
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
 }
@@ -138,10 +112,10 @@ TEST(RunningStats, MatchesBatchStats) {
 TEST(RunningStats, EmptyAndSingle) {
   RunningStats rs;
   EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
   rs.add(3.0);
   EXPECT_DOUBLE_EQ(rs.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(rs.min(), 3.0);
+  EXPECT_DOUBLE_EQ(rs.max(), 3.0);
 }
 
 }  // namespace

@@ -124,14 +124,5 @@ TEST(Countermeasure, RejectsSizeMismatch) {
   EXPECT_THROW(cm.apply(flux, g, rng), std::invalid_argument);
 }
 
-TEST(Countermeasure, ToString) {
-  EXPECT_STREQ(to_string(CountermeasureKind::kNone), "none");
-  EXPECT_STREQ(to_string(CountermeasureKind::kConstantPadding),
-               "constant-padding");
-  EXPECT_STREQ(to_string(CountermeasureKind::kDummyTrees), "dummy-trees");
-  EXPECT_STREQ(to_string(CountermeasureKind::kStretchJitter),
-               "stretch-jitter");
-}
-
 }  // namespace
 }  // namespace fluxfp::privacy

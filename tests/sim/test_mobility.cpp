@@ -73,38 +73,5 @@ TEST(RandomWaypointMobility, RejectsBadSpeed) {
                std::invalid_argument);
 }
 
-TEST(RandomWalkMobility, StaysInField) {
-  const geom::RectField f(20.0, 20.0);
-  geom::Rng rng(5);
-  const RandomWalkMobility m(f, {10, 10}, 2.0, 1.0, 40.0, rng);
-  for (double t = 0.0; t <= 40.0; t += 0.3) {
-    EXPECT_TRUE(f.contains(m.position_at(t)));
-  }
-}
-
-TEST(RandomWalkMobility, StepBound) {
-  const geom::RectField f(20.0, 20.0);
-  geom::Rng rng(6);
-  const RandomWalkMobility m(f, {10, 10}, 1.5, 1.0, 20.0, rng);
-  for (double t = 0.0; t < 20.0; t += 1.0) {
-    EXPECT_LE(geom::distance(m.position_at(t), m.position_at(t + 1.0)),
-              1.5 + 1e-9);
-  }
-}
-
-TEST(RandomWalkMobility, ClampsBeyondDuration) {
-  const geom::RectField f(20.0, 20.0);
-  geom::Rng rng(7);
-  const RandomWalkMobility m(f, {10, 10}, 1.0, 1.0, 5.0, rng);
-  EXPECT_EQ(m.position_at(5.0), m.position_at(500.0));
-}
-
-TEST(RandomWalkMobility, RejectsBadSteps) {
-  const geom::RectField f(20.0, 20.0);
-  geom::Rng rng(8);
-  EXPECT_THROW(RandomWalkMobility(f, {1, 1}, 1.0, 0.0, 5.0, rng),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fluxfp::sim

@@ -137,18 +137,5 @@ TEST(StratifiedSniffer, CoversTheFieldBetterThanRandomWorstCase) {
   EXPECT_LT(strat, rand_acc / reps);
 }
 
-TEST(Gather, ReadsInOrder) {
-  const net::FluxMap flux{10, 20, 30, 40};
-  const std::vector<std::size_t> idx{3, 0, 2};
-  const auto got = gather(flux, idx);
-  EXPECT_EQ(got, (std::vector<double>{40, 10, 30}));
-}
-
-TEST(Gather, RejectsOutOfRange) {
-  const net::FluxMap flux{1, 2};
-  const std::vector<std::size_t> idx{5};
-  EXPECT_THROW(gather(flux, idx), std::out_of_range);
-}
-
 }  // namespace
 }  // namespace fluxfp::sim

@@ -547,6 +547,22 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
     edit(s.smc.users[0].particles[0]);
     return s;
   };
+  // So are window sets on_event() never leaves behind: more open windows
+  // than max_open_epochs, or a window for an epoch that already fired.
+  ASSERT_GT(good.stats.epochs_fired, 0u);
+  const std::size_t max_open = StreamTrackerConfig{}.max_open_epochs;
+  const auto with_windows = [&](std::uint32_t first, std::size_t count) {
+    StreamTrackerState s = good;
+    s.open.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      WindowState w;
+      w.epoch = first + static_cast<std::uint32_t>(i);
+      w.readings.assign(bed.sniffers.size(), net::kMissingReading);
+      w.seen.assign(bed.sniffers.size(), false);
+      s.open.push_back(std::move(w));
+    }
+    return s;
+  };
   for (const StreamTrackerState& bad :
        {with_particle([](core::Particle& p) {
           p.position.x = std::numeric_limits<double>::quiet_NaN();
@@ -555,7 +571,9 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
         with_particle([](core::Particle& p) {
           p.weight = std::numeric_limits<double>::quiet_NaN();
         }),
-        with_particle([](core::Particle& p) { p.weight = -1.0; })}) {
+        with_particle([](core::Particle& p) { p.weight = -1.0; }),
+        with_windows(good.last_fired_epoch + 1, max_open + 1),
+        with_windows(good.last_fired_epoch, 1)}) {
     EXPECT_THROW(target.restore_state(bad), std::invalid_argument);
     EXPECT_EQ(image(target.save_state()), before);
   }
@@ -565,6 +583,8 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
   unbounded.smc.users[0].t_last = std::numeric_limits<double>::infinity();
   StreamTracker other = bed.tracker(3);
   EXPECT_NO_THROW(other.restore_state(unbounded));
+  EXPECT_NO_THROW(
+      other.restore_state(with_windows(good.last_fired_epoch + 1, max_open)));
 
   // The failed restores above must not have partially applied.
   target.restore_state(good);

@@ -311,7 +311,7 @@ TEST(ReplayPacer, MaxSpeedModeNeverSleepsOrReadsTheClock) {
   ReplayPacer pacer(0.0, 0.0);
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_TRUE(pacer.pace(static_cast<double>(i) * 1000.0));
+    EXPECT_TRUE(pacer.pace(static_cast<double>(i) * 1000.0, nullptr));
   }
   // 10k deliveries spanning "10M seconds" of trace time must take
   // essentially no wall time and report no lag.
@@ -325,7 +325,7 @@ TEST(ReplayPacer, PacesAgainstAbsoluteDeadlinesFromTheEpoch) {
   ReplayPacer pacer(20.0, 10.0);  // epoch is the first event's timestamp
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i <= 4; ++i) {
-    EXPECT_TRUE(pacer.pace(10.0 + 0.5 * static_cast<double>(i)));
+    EXPECT_TRUE(pacer.pace(10.0 + 0.5 * static_cast<double>(i), nullptr));
   }
   const double elapsed = seconds_of(std::chrono::steady_clock::now() - start);
   EXPECT_GE(elapsed, 0.08);  // cannot finish before the schedule allows
@@ -337,11 +337,11 @@ TEST(ReplayPacer, ALateDeliveryDoesNotShiftLaterDeadlines) {
   // mid-replay makes later events due IMMEDIATELY rather than re-anchoring
   // the schedule — and the stall shows up in max_behind_seconds().
   ReplayPacer pacer(10.0, 0.0);
-  EXPECT_TRUE(pacer.pace(0.0));  // anchors the wall origin
+  EXPECT_TRUE(pacer.pace(0.0, nullptr));  // anchors the wall origin
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   // Event at t=0.5 was due 50 ms after the origin; we are ~70 ms late.
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(pacer.pace(0.5));
+  EXPECT_TRUE(pacer.pace(0.5, nullptr));
   EXPECT_LT(seconds_of(std::chrono::steady_clock::now() - start), 0.05);
   EXPECT_GT(pacer.max_behind_seconds(), 0.0);
 }
@@ -374,7 +374,7 @@ TEST(ReplayPacer, KeepingUpReportsOnlySleepJitterAsLag) {
   ReplayPacer pacer(128.0, 0.0, fake.clock());
   const auto origin = fake.now;
   for (int i = 0; i <= 3; ++i) {
-    EXPECT_TRUE(pacer.pace(0.5 * static_cast<double>(i)));
+    EXPECT_TRUE(pacer.pace(0.5 * static_cast<double>(i), nullptr));
     // Released at the absolute deadline plus the one oversleep; the
     // oversleep never shifts a later deadline.
     const nanoseconds due = nanoseconds(3'906'250) * i;
@@ -390,7 +390,7 @@ TEST(ReplayPacer, KeepingUpReportsOnlySleepJitterAsLag) {
 
 TEST(ReplayPacer, StopFlagAbortsAFarFutureDeadline) {
   ReplayPacer pacer(1.0, 0.0);
-  EXPECT_TRUE(pacer.pace(0.0));
+  EXPECT_TRUE(pacer.pace(0.0, nullptr));
   int polls = 0;
   const auto start = std::chrono::steady_clock::now();
   // An event an hour of wall time away; the stop callback fires on the
@@ -408,11 +408,12 @@ TEST(ReplayPacer, SharedEpochKeepsSeparatePacersAligned) {
   ReplayPacer a(50.0, 0.0);
   ReplayPacer b(50.0, 0.0);
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(a.pace(0.0));
-  EXPECT_TRUE(b.pace(0.0));
-  EXPECT_TRUE(a.pace(2.0));  // due 40 ms after a's origin
+  EXPECT_TRUE(a.pace(0.0, nullptr));
+  EXPECT_TRUE(b.pace(0.0, nullptr));
+  EXPECT_TRUE(a.pace(2.0, nullptr));  // due 40 ms after a's origin
   const double a_done = seconds_of(std::chrono::steady_clock::now() - start);
-  EXPECT_TRUE(b.pace(2.0));  // b's origin is within microseconds of a's
+  // b's origin is within microseconds of a's.
+  EXPECT_TRUE(b.pace(2.0, nullptr));
   const double b_done = seconds_of(std::chrono::steady_clock::now() - start);
   EXPECT_GE(a_done, 0.03);
   // b's deadline had already passed while a slept, so b releases at once.

@@ -29,28 +29,6 @@ TEST(AccessPoints, GridRejectsZero) {
   EXPECT_THROW(grid_aps(f, 0, 5), std::invalid_argument);
 }
 
-TEST(AccessPoints, RandomApsInsideField) {
-  const geom::RectField f(30.0, 30.0);
-  geom::Rng rng(1);
-  const auto aps = random_aps(f, 20, rng);
-  ASSERT_EQ(aps.size(), 20u);
-  for (const auto& ap : aps) {
-    EXPECT_TRUE(f.contains(ap.position));
-  }
-}
-
-TEST(AccessPoints, NearestAp) {
-  const geom::RectField f(10.0, 10.0);
-  const auto aps = grid_aps(f, 2, 2);
-  EXPECT_EQ(nearest_ap(aps, {0, 0}), 0u);
-  EXPECT_EQ(nearest_ap(aps, {9.9, 9.9}), 3u);
-  EXPECT_EQ(nearest_ap(aps, {7.4, 2.6}), 1u);
-}
-
-TEST(AccessPoints, NearestApRejectsEmpty) {
-  EXPECT_THROW(nearest_ap({}, {0, 0}), std::invalid_argument);
-}
-
 TEST(AccessPoints, ApNeighborsWithinRadius) {
   const geom::RectField f(10.0, 10.0);
   const auto aps = grid_aps(f, 2, 2);  // spacing 5

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace fluxfp::trace {
 namespace {
 
@@ -35,48 +33,6 @@ TEST(TraceFormat, EventsOfUserTimeOrdered) {
 
 TEST(TraceFormat, EventsOfUnknownUserEmpty) {
   EXPECT_TRUE(sample_trace().events_of("nobody").empty());
-}
-
-TEST(TraceFormat, CsvRoundTrip) {
-  const Trace t = sample_trace();
-  std::stringstream ss;
-  write_events_csv(ss, t);
-  const auto events = read_events_csv(ss);
-  ASSERT_EQ(events.size(), t.events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].user, t.events[i].user);
-    EXPECT_DOUBLE_EQ(events[i].time, t.events[i].time);
-    EXPECT_EQ(events[i].ap, t.events[i].ap);
-  }
-}
-
-TEST(TraceFormat, CsvHeaderWritten) {
-  std::stringstream ss;
-  write_events_csv(ss, sample_trace());
-  std::string first;
-  std::getline(ss, first);
-  EXPECT_EQ(first, "user,time,ap");
-}
-
-TEST(TraceFormat, ReadSkipsEmptyLinesAndHeader) {
-  std::stringstream ss("user,time,ap\n\nalice,1.5,3\n\n");
-  const auto events = read_events_csv(ss);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].user, "alice");
-}
-
-TEST(TraceFormat, ReadWithoutHeader) {
-  std::stringstream ss("alice,1.5,3\n");
-  const auto events = read_events_csv(ss);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].ap, 3u);
-}
-
-TEST(TraceFormat, ReadRejectsMalformed) {
-  std::stringstream missing("alice,1.5\n");
-  EXPECT_THROW(read_events_csv(missing), std::runtime_error);
-  std::stringstream bad_number("alice,xyz,3\n");
-  EXPECT_THROW(read_events_csv(bad_number), std::runtime_error);
 }
 
 }  // namespace
