@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "numeric/stats.hpp"
 #include "obs/instrument.hpp"
@@ -225,26 +226,33 @@ bool Server::handle_frame(Connection& conn, bool& authed,
         return send_error(conn, ErrorCode::kMalformedFrame, err->offset,
                           err->to_string());
       }
+      // Cross-tenant isolation: an event for another tenant's session is
+      // counted, never offered — one tenant cannot pollute (or probe)
+      // another's sessions. The rest is offered as one span.
       BatchAckMsg ack;
+      std::erase_if(events, [&](const stream::FluxEvent& event) {
+        const auto owner = user_tenant_.find(event.user);
+        if (owner == user_tenant_.end()) {
+          ++ack.unknown;
+          return true;
+        }
+        if (owner->second != tenant) {
+          ++ack.foreign;
+          return true;
+        }
+        return false;
+      });
+      std::vector<PushStatus> status(events.size());
+      stream::RoomWait room;
       {
         support::MutexLock lock(ingest_mutex_);
         ++batches_total_;
+        unknown_total_ += ack.unknown;
+        foreign_total_ += ack.foreign;
         const auto now = std::chrono::steady_clock::now();
-        for (const stream::FluxEvent& event : events) {
-          const auto owner = user_tenant_.find(event.user);
-          if (owner == user_tenant_.end()) {
-            ++ack.unknown;
-            ++unknown_total_;
-            continue;
-          }
-          if (owner->second != tenant) {
-            // Cross-tenant isolation: the event is counted, never offered
-            // — one tenant cannot pollute (or probe) another's sessions.
-            ++ack.foreign;
-            ++foreign_total_;
-            continue;
-          }
-          switch (supervisor_.offer(event)) {
+        room = supervisor_.offer(events, status);
+        for (const PushStatus outcome : status) {
+          switch (outcome) {
             case PushStatus::kAccepted:
               ++ack.accepted;
               ++accepted_total_;
@@ -270,6 +278,11 @@ bool Server::handle_frame(Connection& conn, bool& authed,
         }
         observe_progress_locked();
       }
+      // Backpressure outside the lock: the other connections offer, query
+      // and cut while this one waits for its workers to drain below the
+      // queue capacity. A crash meanwhile closes the queues and releases
+      // the wait; the batch is journaled and replays.
+      room.wait();
       FLUXFP_OBS_COUNTER_ADD_SCHED("fluxfp_netio_events_accepted_total",
                                    "Events admitted over the wire",
                                    ack.accepted);

@@ -61,10 +61,13 @@ struct ServerConfig {
 /// single coordinating thread, so EVERY supervisor interaction — offers,
 /// quiesced queries, metrics, crash injection — serializes on one ingest
 /// mutex; connection threads contend there per frame, not per event.
-/// Backpressure flows through that lock: a full worker queue stalls the
-/// offering connection (and any connection behind the lock) until the
-/// workers drain, while a tenant at its quota has its newest events shed
-/// at once and the shed counts ride back on BATCH_ACK.
+/// Under the lock an EVENT_BATCH is one Supervisor::offer of the batch,
+/// which appends each worker's share to its queue without waiting.
+/// Backpressure comes after the lock: the connection waits until every
+/// queue its batch touched is below capacity again, then sends BATCH_ACK,
+/// so a connection behind a slow worker never stalls the others. A tenant
+/// at its quota has its newest events shed at once and the shed counts
+/// ride back on BATCH_ACK.
 ///
 /// Queries quiesce: QUERY_ESTIMATE and METRICS drain the shard before
 /// reading, so a client that saw BATCH_ACK{accepted=n} and then queries

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/instrument.hpp"
 
@@ -42,23 +43,36 @@ EventQueue::EventQueue(std::size_t capacity) : capacity_(capacity) {
 }
 
 bool EventQueue::push(const FluxEvent& event) {
+  if (!push_run(std::span<const FluxEvent>(&event, 1))) {
+    return false;
+  }
+  wait_for_room();
+  return true;
+}
+
+bool EventQueue::push_run(std::span<const FluxEvent> events) {
+  {
+    support::MutexLock lock(mutex_);
+    if (closed_) {
+      return false;
+    }
+    items_.insert(items_.end(), events.begin(), events.end());
+    stats_.pushed += events.size();
+    stats_.max_depth = std::max(stats_.max_depth, items_.size());
+  }
+  not_empty_.notify_one();
+  // Obs mirror of QueueStats, recorded outside the critical section.
+  FLUXFP_OBS_COUNTER_ADD("fluxfp_stream_queue_pushed_total",
+                         "Events accepted by ingest queues", events.size());
+  return true;
+}
+
+void EventQueue::wait_for_room() {
   support::UniqueLock lock(mutex_);
   not_full_.wait(lock.native(), [&] {
     mutex_.assert_held();  // predicate runs under the re-acquired lock
     return closed_ || items_.size() < capacity_;
   });
-  if (closed_) {
-    return false;
-  }
-  items_.push_back(event);
-  ++stats_.pushed;
-  stats_.max_depth = std::max(stats_.max_depth, items_.size());
-  lock.unlock();
-  not_empty_.notify_one();
-  // Obs mirror of QueueStats, recorded outside the critical section.
-  FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_pushed_total",
-                         "Events accepted by ingest queues");
-  return true;
 }
 
 bool EventQueue::push_marker() {
@@ -73,46 +87,70 @@ bool EventQueue::push_marker() {
   return true;
 }
 
-EventQueue::Popped EventQueue::take_head_locked(FluxEvent& out) {
+EventQueue::Take EventQueue::take_locked(FluxEvent* out,
+                                         std::size_t max_run) {
+  Take take;
   if (!markers_.empty() && markers_.front() == stats_.popped) {
     markers_.pop_front();
-    return Popped::kMarker;
+    take.got = Popped::kMarker;
+    return take;
   }
   if (items_.empty()) {
-    return Popped::kNone;
+    return take;
   }
-  out = items_.front();
-  items_.pop_front();
-  ++stats_.popped;
-  return Popped::kEvent;
+  std::size_t n = std::min(std::max<std::size_t>(max_run, 1), items_.size());
+  if (!markers_.empty()) {
+    // The next marker sits behind this many events; the run stops there.
+    n = std::min(n, static_cast<std::size_t>(markers_.front() - stats_.popped));
+  }
+  const bool was_full = items_.size() >= capacity_;
+  const auto end = items_.begin() + static_cast<std::ptrdiff_t>(n);
+  std::copy(items_.begin(), end, out);
+  items_.erase(items_.begin(), end);
+  stats_.popped += n;
+  take.got = Popped::kEvent;
+  take.events = n;
+  // Producers wait for the depth to fall below the capacity, so only the
+  // take that crosses it can release one.
+  take.room = was_full && items_.size() < capacity_;
+  return take;
 }
 
-EventQueue::Popped EventQueue::pop(FluxEvent& out) {
-  support::UniqueLock lock(mutex_);
-  not_empty_.wait(lock.native(), [&] {
-    mutex_.assert_held();  // predicate runs under the re-acquired lock
-    return closed_ || !items_.empty() || !markers_.empty();
-  });
-  const Popped got = take_head_locked(out);
-  lock.unlock();
-  if (got == Popped::kEvent) {
-    not_full_.notify_one();
-    FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
-                           "Events handed to consumers");
+void EventQueue::after_take(const Take& take) {
+  if (take.room) {
+    not_full_.notify_all();
   }
-  return got;
+  if (take.events > 0) {
+    FLUXFP_OBS_COUNTER_ADD("fluxfp_stream_queue_popped_total",
+                           "Events handed to consumers", take.events);
+  }
+}
+
+EventQueue::Popped EventQueue::pop_run(std::vector<FluxEvent>& out,
+                                       std::size_t max_run) {
+  out.resize(std::max<std::size_t>(max_run, 1));
+  Take take;
+  {
+    support::UniqueLock lock(mutex_);
+    not_empty_.wait(lock.native(), [&] {
+      mutex_.assert_held();  // predicate runs under the re-acquired lock
+      return closed_ || !items_.empty() || !markers_.empty();
+    });
+    take = take_locked(out.data(), max_run);
+  }
+  out.resize(take.events);
+  after_take(take);
+  return take.got;
 }
 
 EventQueue::Popped EventQueue::try_pop(FluxEvent& out) {
-  support::UniqueLock lock(mutex_);
-  const Popped got = take_head_locked(out);
-  lock.unlock();
-  if (got == Popped::kEvent) {
-    not_full_.notify_one();
-    FLUXFP_OBS_COUNTER_INC("fluxfp_stream_queue_popped_total",
-                           "Events handed to consumers");
+  Take take;
+  {
+    support::MutexLock lock(mutex_);
+    take = take_locked(&out, 1);
   }
-  return got;
+  after_take(take);
+  return take.got;
 }
 
 void EventQueue::close() {
@@ -132,6 +170,16 @@ std::size_t EventQueue::size() const {
 QueueStats EventQueue::stats() const {
   support::MutexLock lock(mutex_);
   return stats_;
+}
+
+void RoomWait::add(std::shared_ptr<EventQueue> queue) {
+  queues_.push_back(std::move(queue));
+}
+
+void RoomWait::wait() const {
+  for (const std::shared_ptr<EventQueue>& queue : queues_) {
+    queue->wait_for_room();
+  }
 }
 
 }  // namespace fluxfp::stream

@@ -3,6 +3,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "stream/event.hpp"
 #include "support/thread_annotations.hpp"
@@ -17,16 +20,19 @@ struct QueueStats {
   std::size_t max_depth = 0;  ///< high-water mark of the backlog
 };
 
-/// Bounded multi-producer/single-consumer event queue. A full queue blocks
-/// its producers — lossless backpressure, which is what the determinism
-/// contract assumes: every accepted event is delivered, so replaying a
-/// trace yields the same folding at any worker count. Load shedding, when
-/// a deployment wants it, happens before the queue (TrackerManager's
-/// tenant quota), and nothing leaves a queue but through its head. Plain
-/// mutex + condition variables: the per-event cost is dwarfed by the
-/// filtering work downstream, and the simple protocol is trivially clean
-/// under TSan — this queue and the TrackerManager are the first
-/// cross-thread mutable state in the repo.
+/// Bounded multi-producer/single-consumer event queue. A producer appends
+/// a run of events without waiting, then waits for room: until a pop
+/// brings the depth below the capacity. That is lossless backpressure,
+/// which is what the determinism contract assumes: every accepted event is
+/// delivered, so replaying a trace yields the same folding at any worker
+/// count. Because the append never waits, a producer can take its own
+/// locks, append, let go of them and only then wait (netio::Server waits
+/// for room outside its ingest lock). The depth therefore reaches at most
+/// capacity - 1 plus one run per producer. Load shedding, when a
+/// deployment wants it, happens before the queue (TrackerManager's tenant
+/// quota), and nothing leaves a queue but through its head. Plain mutex +
+/// condition variables: the per-run cost is dwarfed by the filtering work
+/// downstream, and the simple protocol is trivially clean under TSan.
 ///
 /// Besides events the queue carries cut markers: a marker sits between the
 /// events pushed before it and those pushed after, takes no slot of the
@@ -42,38 +48,50 @@ class EventQueue {
  public:
   /// What a pop handed the consumer.
   enum class Popped {
-    kEvent,   ///< `out` holds the oldest queued event
-    kMarker,  ///< a cut marker reached the head; `out` is untouched
-    kNone,    ///< pop: closed and drained; try_pop: nothing queued now
+    kEvent,   ///< `out` holds the oldest queued event(s)
+    kMarker,  ///< a cut marker reached the head; `out` holds no event
+    kNone,    ///< pop_run: closed and drained; try_pop: nothing queued now
   };
 
   /// `capacity` >= 1 bounds the backlog. Throws std::invalid_argument on 0.
   explicit EventQueue(std::size_t capacity);
 
-  /// Enqueues `event`, waiting for room. Returns false only when the queue
-  /// was closed while waiting or before the call.
+  /// Enqueues `event`, then waits for room: push_run() of one event and
+  /// wait_for_room(). Returns false only when the queue was closed before
+  /// the call (the event is then not queued).
   bool push(const FluxEvent& event);
+
+  /// Appends `events` in order, behind everything pushed so far, without
+  /// waiting: the depth may pass the capacity. The producer then waits for
+  /// room with wait_for_room(). Returns false when the queue is closed
+  /// (nothing is appended).
+  bool push_run(std::span<const FluxEvent> events);
+
+  /// Waits until the depth is below the capacity or the queue is closed.
+  void wait_for_room();
 
   /// Enqueues a cut marker behind every event pushed so far, without
   /// waiting for room. Returns false when the queue is closed.
   bool push_marker();
 
-  /// Dequeues the head into `out`, waiting for an event or a marker.
-  /// Returns kNone when the queue is closed AND drained — the consumer's
-  /// termination signal.
-  Popped pop(FluxEvent& out);
+  /// Dequeues the oldest run into `out` (replacing its contents), waiting
+  /// for an event or a marker. A run holds at most `max_run` (>= 1)
+  /// events and never reaches past a cut marker: the events queued ahead
+  /// of a marker come out first, then kMarker. Returns kNone when the queue
+  /// is closed AND drained — the consumer's termination signal.
+  Popped pop_run(std::vector<FluxEvent>& out, std::size_t max_run);
 
-  /// Non-blocking pop; kNone when currently empty (the queue may still be
-  /// open).
+  /// Non-blocking pop of the head alone; kNone when currently empty (the
+  /// queue may still be open).
   Popped try_pop(FluxEvent& out);
 
-  /// Closes the queue: subsequent pushes fail, blocked producers and the
-  /// consumer wake up. Already-queued events and markers remain poppable.
+  /// Closes the queue: subsequent pushes fail, producers waiting for room
+  /// and the consumer wake up. Already-queued events and markers remain
+  /// poppable.
   void close();
 
   /// Queued events (markers are not counted).
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
 
   /// Snapshot of the counters (consistent, taken under the lock).
   QueueStats stats() const;
@@ -84,8 +102,20 @@ class EventQueue {
   mutable support::Mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  /// Dequeues the head under the lock; kNone when nothing is queued.
-  Popped take_head_locked(FluxEvent& out) FLUXFP_REQUIRES(mutex_);
+  /// What one take dequeued.
+  struct Take {
+    Popped got = Popped::kNone;
+    std::size_t events = 0;  ///< copied to the caller's buffer
+    bool room = false;       ///< the depth fell below the capacity
+  };
+  /// Dequeues under the lock: the marker at the head (kMarker), or up to
+  /// `max_run` events, never past a marker, copied to `out` (kEvent);
+  /// kNone when nothing is queued.
+  Take take_locked(FluxEvent* out, std::size_t max_run)
+      FLUXFP_REQUIRES(mutex_);
+  /// After the lock is released: wakes the producers waiting for room
+  /// when the take made some, and counts the popped events.
+  void after_take(const Take& take);
 
   std::deque<FluxEvent> items_ FLUXFP_GUARDED_BY(mutex_);
   /// Queued markers, oldest first, each as the number of events pushed
@@ -93,6 +123,22 @@ class EventQueue {
   std::deque<std::uint64_t> markers_ FLUXFP_GUARDED_BY(mutex_);
   QueueStats stats_ FLUXFP_GUARDED_BY(mutex_);
   bool closed_ FLUXFP_GUARDED_BY(mutex_) = false;
+};
+
+/// The room a span offer waits for once it holds no lock: the queues it
+/// appended to. They are held by shared ownership, so the wait may outlive
+/// the TrackerManager that owned them; a crash that destroys the manager
+/// closes its queues, and a closed queue releases the wait.
+class RoomWait {
+ public:
+  /// Adds `queue` to the queues to wait on.
+  void add(std::shared_ptr<EventQueue> queue);
+
+  /// Waits for room on every added queue (EventQueue::wait_for_room).
+  void wait() const;
+
+ private:
+  std::vector<std::shared_ptr<EventQueue>> queues_;
 };
 
 }  // namespace fluxfp::stream

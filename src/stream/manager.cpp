@@ -67,7 +67,7 @@ void TrackerManager::start() {
   config_.workers = workers;
   queues_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    queues_.push_back(std::make_unique<EventQueue>(config_.queue_capacity));
+    queues_.push_back(std::make_shared<EventQueue>(config_.queue_capacity));
   }
   if (config_.tenant_quota > 0) {
     // No worker exists yet, but the admission ledger is flow-state:
@@ -107,8 +107,7 @@ void TrackerManager::start() {
   }
 }
 
-bool TrackerManager::admit(std::uint32_t tenant) {
-  support::MutexLock lock(flow_mutex_);
+bool TrackerManager::admit_locked(std::uint32_t tenant) {
   std::uint64_t& in_flight = tenant_in_flight_.at(tenant);
   if (in_flight >= config_.tenant_quota) {
     return false;
@@ -117,35 +116,97 @@ bool TrackerManager::admit(std::uint32_t tenant) {
   return true;
 }
 
-PushStatus TrackerManager::offer(const FluxEvent& event) {
+RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
+                               std::span<PushStatus> status) {
+  if (status.size() != events.size()) {
+    throw std::invalid_argument(
+        "TrackerManager: offer needs one status slot per event");
+  }
+  RoomWait room;
   if (!started_.load(std::memory_order_relaxed) ||
       finished_.load(std::memory_order_relaxed)) {
-    return PushStatus::kClosed;
+    std::fill(status.begin(), status.end(), PushStatus::kClosed);
+    return room;
   }
-  const auto it = user_index_.find(event.user);
-  if (it == user_index_.end()) {
-    unknown_user_.fetch_add(1, std::memory_order_relaxed);
-    FLUXFP_OBS_COUNTER_INC("fluxfp_stream_unknown_user_total",
-                           "Pushes for sessions never registered");
-    return PushStatus::kUnknownUser;
-  }
-  const std::size_t idx = it->second;
-  const bool quota = config_.tenant_quota > 0;
-  if (quota && !admit(sessions_[idx].options.tenant)) {
-    return PushStatus::kShedQuota;
-  }
-  if (!queues_[idx % queues_.size()]->push(event)) {
-    if (quota) {
-      support::MutexLock lock(flow_mutex_);
-      --tenant_in_flight_.at(sessions_[idx].options.tenant);
+  // Session of each event, resolved off the lock; kNoSession marks an
+  // event that is not (or no longer) headed for a queue.
+  constexpr std::size_t kNoSession = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> session(events.size(), kNoSession);
+  std::uint64_t unknown = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto it = user_index_.find(events[i].user);
+    if (it == user_index_.end()) {
+      status[i] = PushStatus::kUnknownUser;
+      ++unknown;
+    } else {
+      status[i] = PushStatus::kAccepted;
+      session[i] = it->second;
     }
-    return PushStatus::kClosed;
   }
+  if (unknown > 0) {
+    unknown_user_.fetch_add(unknown, std::memory_order_relaxed);
+    FLUXFP_OBS_COUNTER_ADD("fluxfp_stream_unknown_user_total",
+                           "Pushes for sessions never registered", unknown);
+  }
+  // Admission, once for the span: no worker can release a quota slot
+  // during the hold, so exactly a tenant's events past its quota shed.
+  const bool quota = config_.tenant_quota > 0;
   {
     support::MutexLock lock(flow_mutex_);
-    ++routed_flow_;
+    std::uint64_t admitted = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (session[i] == kNoSession) {
+        continue;
+      }
+      if (quota && !admit_locked(sessions_[session[i]].options.tenant)) {
+        status[i] = PushStatus::kShedQuota;
+        session[i] = kNoSession;
+        continue;
+      }
+      ++admitted;
+    }
+    routed_flow_ += admitted;
   }
-  return PushStatus::kAccepted;
+  // Each worker's admitted events, in offer order, as one run.
+  const std::size_t workers = queues_.size();
+  std::vector<FluxEvent> run;
+  run.reserve(events.size());
+  for (std::size_t w = 0; w < workers; ++w) {
+    run.clear();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (session[i] != kNoSession && session[i] % workers == w) {
+        run.push_back(events[i]);
+      }
+    }
+    if (run.empty()) {
+      continue;
+    }
+    if (queues_[w]->push_run(run)) {
+      room.add(queues_[w]);
+      continue;
+    }
+    // A closed queue (finish() ran concurrently, against the contract)
+    // queued none of the run: take it back out of the flow ledger.
+    support::MutexLock lock(flow_mutex_);
+    routed_flow_ -= run.size();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (session[i] != kNoSession && session[i] % workers == w) {
+        status[i] = PushStatus::kClosed;
+        if (quota) {
+          --tenant_in_flight_.at(sessions_[session[i]].options.tenant);
+        }
+      }
+    }
+  }
+  return room;
+}
+
+PushStatus TrackerManager::offer(const FluxEvent& event) {
+  PushStatus status = PushStatus::kClosed;
+  offer(std::span<const FluxEvent>(&event, 1),
+        std::span<PushStatus>(&status, 1))
+      .wait();
+  return status;
 }
 
 void TrackerManager::worker_loop(std::size_t worker) {
@@ -155,9 +216,14 @@ void TrackerManager::worker_loop(std::size_t worker) {
   numeric::SerialRegionGuard serial;
   EventQueue& queue = *queues_[worker];
   const bool quota = config_.tenant_quota > 0;
-  FluxEvent event;
+  // Bounded runs: long enough to pay the flow accounting once per run, short
+  // enough that an offer waiting for room is released within a few folds.
+  const std::size_t max_run =
+      std::max<std::size_t>(1, config_.queue_capacity / 8);
+  std::vector<FluxEvent> run;
+  std::vector<std::uint32_t> tenants;  // the run's events' tenants (quota)
   for (;;) {
-    const EventQueue::Popped got = queue.pop(event);
+    const EventQueue::Popped got = queue.pop_run(run, max_run);
     if (got == EventQueue::Popped::kNone) {
       break;
     }
@@ -165,19 +231,26 @@ void TrackerManager::worker_loop(std::size_t worker) {
       capture_cut(worker);
       continue;
     }
-    // Routing guarantees the session belongs to this worker.
-    Session& s = sessions_[user_index_.at(event.user)];
-    epochs_fired_live_.fetch_add(s.tracker.on_event(event).size(),
-                                 std::memory_order_relaxed);
-    processed_live_.fetch_add(1, std::memory_order_relaxed);
-    // Flow accounting AFTER the fold: a quiesce() that observes
+    std::uint64_t fired = 0;
+    tenants.clear();
+    for (const FluxEvent& event : run) {
+      // Routing guarantees the session belongs to this worker.
+      Session& s = sessions_[user_index_.at(event.user)];
+      fired += s.tracker.on_event(event).size();
+      if (quota) {
+        tenants.push_back(s.options.tenant);
+      }
+    }
+    epochs_fired_live_.fetch_add(fired, std::memory_order_relaxed);
+    processed_live_.fetch_add(run.size(), std::memory_order_relaxed);
+    // Flow accounting AFTER the folds: a quiesce() that observes
     // processed == routed therefore also observes every session's state
     // (the mutex handshake publishes it).
     {
       support::MutexLock lock(flow_mutex_);
-      ++processed_flow_;
-      if (quota) {
-        --tenant_in_flight_.at(s.options.tenant);
+      processed_flow_ += run.size();
+      for (const std::uint32_t tenant : tenants) {
+        --tenant_in_flight_.at(tenant);
       }
     }
     flow_cv_.notify_all();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -44,7 +45,9 @@ struct ManagerConfig {
   /// the same accepted events give bit-identical estimates at any worker
   /// count.
   std::size_t workers = 1;
-  /// Per-worker ingest queue bound; a full queue blocks offer().
+  /// Per-worker ingest queue bound: an offer waits until every queue it
+  /// appended to is below it again. Workers take runs of at most
+  /// queue_capacity / 8 events (at least 1).
   std::size_t queue_capacity = 256;
   /// Max in-flight (queued, not yet folded) events per tenant: a tenant
   /// at its quota has its next event shed (kShedQuota). 0 disables
@@ -82,8 +85,8 @@ struct ManagerStats {
 /// Determinism contract (the streaming extension of PR 2's): every session
 /// owns its RNG (seeded at StreamTracker construction) and consumes its own
 /// events in offer order — routing never reorders a session's events, and
-/// sessions never share mutable state. Ingest queues block rather than
-/// drop and a tenant quota sheds only at admission, so every accepted
+/// sessions never share mutable state. Offers wait for queue room rather
+/// than drop and a tenant quota sheds only at admission, so every accepted
 /// event is folded, and the same sequence of accepted events yields
 /// bit-identical per-user estimates at ANY worker count. With no tenant
 /// quota every offered event for a registered session is accepted.
@@ -118,10 +121,18 @@ class TrackerManager {
   /// no session is registered.
   void start();
 
-  /// Routes one event to its session's worker and reports the admission
-  /// outcome. A full queue makes this call wait — it is the service's
-  /// backpressure; a tenant at its quota never waits, its event is shed.
-  /// Any thread may offer.
+  /// Routes `events` in order to their sessions' workers, writing each
+  /// one's admission outcome to the same index of `status` (which must be
+  /// as long). The span is admitted in one hold of the flow lock, a tenant
+  /// quota included, and each worker's accepted events are appended to its
+  /// queue as one run, without waiting for room. The returned RoomWait is
+  /// the backpressure: the caller waits on it once it holds no lock of its
+  /// own. A tenant at its quota never waits, its events are shed. Any
+  /// thread may offer.
+  RoomWait offer(std::span<const FluxEvent> events,
+                 std::span<PushStatus> status);
+
+  /// One-event form: offers `event`, then waits for room.
   PushStatus offer(const FluxEvent& event);
 
   /// Blocks until every event accepted so far has been folded by its
@@ -166,7 +177,7 @@ class TrackerManager {
   /// std::logic_error after start().
   void restore(const ManagerCheckpoint& cp);
 
-  /// Closes the ingest queues, wakes any producer blocked on a full queue,
+  /// Closes the ingest queues, wakes any producer waiting for room,
   /// drains and joins every worker (each worker flushes its sessions' open
   /// windows), and freezes the stats. Safe to call once; offer() fails
   /// afterwards.
@@ -212,15 +223,16 @@ class TrackerManager {
   /// them to the pending cut.
   void capture_cut(std::size_t worker);
   const Session& find_session(std::uint32_t user) const;
-  /// Quota admission: takes one of the tenant's in-flight slots, or
-  /// returns false when it has none left. Only called with a tenant quota
-  /// set.
-  bool admit(std::uint32_t tenant);
+  /// Quota admission under the flow lock: takes one of the tenant's
+  /// in-flight slots, or returns false when it has none left. Only called
+  /// with a tenant quota set.
+  bool admit_locked(std::uint32_t tenant) FLUXFP_REQUIRES(flow_mutex_);
 
   ManagerConfig config_;
   std::vector<Session> sessions_;
   std::unordered_map<std::uint32_t, std::size_t> user_index_;
-  std::vector<std::unique_ptr<EventQueue>> queues_;  ///< one per worker
+  /// One per worker, shared with the RoomWaits of offers still waiting.
+  std::vector<std::shared_ptr<EventQueue>> queues_;
   std::vector<std::thread> threads_;
   /// Lifecycle flags. Relaxed everywhere: the actual publication points
   /// are thread creation (start), the queue close/join handshake (finish),
@@ -235,8 +247,8 @@ class TrackerManager {
 
   /// Flow accounting: routed/processed totals for quiesce(), and — when a
   /// tenant quota is configured — per-tenant in-flight counts for
-  /// admission. One mutex guards it all; the per-event cost is one
-  /// uncontended lock, dwarfed by the SMC step.
+  /// admission. One mutex guards it all, taken once per offered span and
+  /// once per folded run.
   mutable support::Mutex flow_mutex_;
   std::condition_variable flow_cv_;
   std::uint64_t routed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;

@@ -45,37 +45,57 @@ void Supervisor::start() {
   commit(encode_checkpoint(manager_->checkpoint()), 0, 0, 0);
 }
 
-PushStatus Supervisor::offer(const FluxEvent& event) {
+RoomWait Supervisor::offer(std::span<const FluxEvent> events,
+                           std::span<PushStatus> status) {
+  if (status.size() != events.size()) {
+    throw std::invalid_argument(
+        "Supervisor: offer needs one status slot per event");
+  }
+  std::fill(status.begin(), status.end(), PushStatus::kClosed);
   if (!started_ || finished_ || failed_) {
-    return PushStatus::kClosed;
+    return {};
   }
-  ++offers_;
-  if (event.time > vnow_) {
-    vnow_ = event.time;
-  }
-  if (!manager_) {
-    if (vnow_ < restart_at_) {
-      // Down for backoff: defer. The journal is the durable record, so
-      // the event is admitted, not lost — it replays at restart. Only the
-      // session set is checkable while the shard is down.
-      if (std::find(users_.begin(), users_.end(), event.user) ==
-          users_.end()) {
-        return PushStatus::kUnknownUser;
+  // While the shard is down, event by event: defer until the backoff
+  // lapses at an event's time, then restart and offer the rest live.
+  std::size_t first_live = 0;
+  for (; first_live < events.size() && !manager_; ++first_live) {
+    const FluxEvent& event = events[first_live];
+    if (event.time > vnow_) {
+      vnow_ = event.time;
+    }
+    if (vnow_ >= restart_at_) {
+      if (!try_restart()) {
+        ++offers_;  // gave up: this and the rest stay kClosed
+        return {};
       }
-      journal_.push_back(event);
-      ++stats_.events_deferred;
-      return PushStatus::kAccepted;
+      break;
     }
-    if (!try_restart()) {
-      return PushStatus::kClosed;
+    ++offers_;
+    status[first_live] = defer(event);
+  }
+  const std::span<const FluxEvent> live = events.subspan(first_live);
+  if (live.empty()) {
+    return {};
+  }
+  offers_ += live.size();
+  for (const FluxEvent& event : live) {
+    if (event.time > vnow_) {
+      vnow_ = event.time;
     }
   }
-  const PushStatus status = manager_->offer(event);
-  if (status != PushStatus::kAccepted) {
-    return status;
+  const std::span<PushStatus> live_status = status.subspan(first_live);
+  RoomWait room = manager_->offer(live, live_status);
+  std::uint64_t accepted = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (live_status[i] == PushStatus::kAccepted) {
+      journal_.push_back(live[i]);
+      ++accepted;
+    }
   }
-  journal_.push_back(event);
-  ++routed_since_manager_;
+  if (accepted == 0) {
+    return room;
+  }
+  routed_since_manager_ += accepted;
   // Heartbeat over virtual time: with work pending, the fold counter must
   // advance before the deadline lapses. Relaxed reads — a heuristic
   // detector, made exact only at quiesced boundaries.
@@ -90,7 +110,7 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
     FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_stalls_total",
                                  "Shards declared stalled (heartbeat lapse)");
     crash_shard();
-    return PushStatus::kAccepted;  // journaled; replays at restart
+    return room;  // journaled; replays at restart
   }
   // Epoch cadence, triggered off the relaxed live counter; the cut's own
   // epoch total is exact. A due boundary first waits for a pending cut.
@@ -101,7 +121,7 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
   if (cut_) {
     std::optional<ManagerCut> cut = manager_->take_cut(due);
     if (cut && !commit_cut(std::move(*cut))) {
-      return PushStatus::kAccepted;  // killed by the fault plan; replays
+      return room;  // killed by the fault plan; replays
     }
   }
   if (due && !cut_) {
@@ -109,6 +129,26 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
     cut_ = PendingCut{journal_.size(), offers_};
     epochs_live_at_cut_ = manager_->epochs_fired_live();
   }
+  return room;
+}
+
+PushStatus Supervisor::offer(const FluxEvent& event) {
+  PushStatus status = PushStatus::kClosed;
+  offer(std::span<const FluxEvent>(&event, 1),
+        std::span<PushStatus>(&status, 1))
+      .wait();
+  return status;
+}
+
+PushStatus Supervisor::defer(const FluxEvent& event) {
+  // Down for backoff: the journal is the durable record, so the event is
+  // admitted, not lost — it replays at restart. Only the session set is
+  // checkable while the shard is down.
+  if (std::find(users_.begin(), users_.end(), event.user) == users_.end()) {
+    return PushStatus::kUnknownUser;
+  }
+  journal_.push_back(event);
+  ++stats_.events_deferred;
   return PushStatus::kAccepted;
 }
 

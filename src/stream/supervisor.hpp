@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ struct SupervisorStats {
   std::uint64_t events_deferred = 0;   ///< journaled while the shard was down
   std::uint64_t sessions_shed = 0;     ///< sessions lost to give-up
   std::uint64_t checkpoint_bytes = 0;  ///< size of the newest image
-  /// offer() calls the newest image covers: the offers made before its
+  /// Offered events the newest image covers: those offered before its
   /// cut (all of them for the final image). A caller that replays a
   /// recorded stream resumes after this many.
   std::uint64_t offers_covered = 0;
@@ -137,15 +138,24 @@ class Supervisor {
   /// cannot be written to checkpoint_path.
   void start();
 
-  /// Offers one event to the supervised shard. Accepted events are
-  /// journaled before this returns, so a later crash cannot lose them.
-  /// While the shard is down (backoff), events for known users are
-  /// deferred — journaled and reported kAccepted — and replayed at
-  /// restart; a supervisor that gave up reports kClosed. Commits a
-  /// completed cut and starts a due one (see the class comment). Throws
+  /// Offers `events` in order to the supervised shard, writing each one's
+  /// admission outcome to the same index of `status` (which must be as
+  /// long). The live shard admits the span in one TrackerManager::offer;
+  /// accepted events are journaled before this returns, so a later crash
+  /// cannot lose them. While the shard is down (backoff), events for known
+  /// users are deferred — journaled and reported kAccepted — and replayed
+  /// at restart; a supervisor that gave up reports kClosed. Then, once per
+  /// span, checks the heartbeat, commits a completed cut and starts a due
+  /// one (see the class comment), so a cut lands between two spans. The
+  /// returned RoomWait is the backpressure, for the caller to wait on once
+  /// it holds no lock; a crash meanwhile releases it. Throws
   /// std::runtime_error when a commit cannot write checkpoint_path; the
-  /// cut is dropped, the event stays journaled and the previous
+  /// cut is dropped, the events stay journaled and the previous
   /// checkpoint authoritative.
+  RoomWait offer(std::span<const FluxEvent> events,
+                 std::span<PushStatus> status);
+
+  /// One-event form: offers `event`, then waits for room.
   PushStatus offer(const FluxEvent& event);
 
   /// Drains the live shard until every accepted event has been folded and
@@ -191,12 +201,15 @@ class Supervisor {
 
  private:
   /// The cut in flight: requested after `journaled` journal entries and
-  /// `offers` offer() calls.
+  /// `offers` offered events.
   struct PendingCut {
     std::size_t journaled = 0;
     std::uint64_t offers = 0;
   };
 
+  /// Journals `event` while the shard is down: kAccepted for a known
+  /// user, kUnknownUser otherwise.
+  PushStatus defer(const FluxEvent& event);
   /// Judges the fault plan on the cut's epochs, then either kills the
   /// shard (false) or commits the assembled image (true).
   bool commit_cut(ManagerCut cut);
@@ -232,7 +245,7 @@ class Supervisor {
   std::size_t consecutive_failures_ = 0;
   double vnow_ = 0.0;        ///< newest event time seen
   double restart_at_ = 0.0;  ///< backoff gate while the shard is down
-  std::uint64_t offers_ = 0;  ///< offer() calls since start()
+  std::uint64_t offers_ = 0;  ///< events offered since start()
   std::uint64_t routed_since_manager_ = 0;  ///< offers accepted this incarnation
   std::uint64_t last_processed_seen_ = 0;
   double last_progress_vtime_ = 0.0;

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netio/client.hpp"
@@ -177,6 +181,92 @@ TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
   EXPECT_GT(healed.events_folded, 0u);
   ingest.goodbye();
   server.stop();
+}
+
+TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
+  // A batch overruns a 2-slot queue behind folds of tens of ms each, so
+  // its connection is still waiting for room, outside the ingest lock,
+  // when the shard is killed. The crash closes the dead incarnation's
+  // queues, which releases the wait: the batch is acknowledged in full,
+  // and it replays at the restart — the session ends exactly where an
+  // uninterrupted tracker fed the same events does.
+  Bed bed;
+  const auto slow = [&bed](std::uint64_t seed) {
+    stream::StreamTrackerConfig tc;
+    tc.smc.num_predictions = 50000;
+    tc.smc.num_keep = 4;
+    tc.expected_readings = 1;  // every event fires an epoch
+    return stream::StreamTracker(bed.model, bed.graph, bed.sniffers, 1, tc,
+                                 seed);
+  };
+  stream::SupervisorConfig scfg;
+  scfg.checkpoint_every_epochs = 0;  // the baseline image only
+  scfg.backoff_base = 0.0;           // restart on the next offer
+  ServerConfig cfg;
+  cfg.endpoint = unix_endpoint("roomcrash");
+  Server server(
+      [&slow] {
+        stream::ManagerConfig mc;
+        mc.queue_capacity = 2;
+        auto m = std::make_unique<stream::TrackerManager>(mc);
+        m->add_session(0, slow(1000));
+        return m;
+      },
+      scfg, cfg);
+  server.start();
+  std::vector<stream::FluxEvent> events;
+  for (std::uint32_t e = 0; e < 12; ++e) {
+    events.push_back({static_cast<double>(e), 0, e,
+                      static_cast<std::uint32_t>(bed.sniffers[0]), 1.0});
+  }
+  const std::span<const stream::FluxEvent> all(events);
+
+  std::string why;
+  Socket raw = connect_to(server.endpoint(), &why);
+  ASSERT_TRUE(raw.valid()) << why;
+  ASSERT_TRUE(raw.write_all(
+      encode_frame(FrameType::kHello, encode_hello(HelloMsg{}))));
+  FrameReader reader(raw);
+  Frame frame;
+  ASSERT_EQ(reader.read(frame), FrameReader::Status::kFrame);
+  ASSERT_EQ(frame.type, FrameType::kWelcome);
+  // Eight events go out without waiting for their ack; the first fold
+  // takes longer than the pause, so the connection is waiting for room.
+  ASSERT_TRUE(raw.write_all(encode_frame(
+      FrameType::kEventBatch, encode_event_batch(all.first(8)))));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  server.inject_crash();
+  ASSERT_EQ(reader.read(frame), FrameReader::Status::kFrame);
+  ASSERT_EQ(frame.type, FrameType::kBatchAck);
+  BatchAckMsg ack;
+  ASSERT_FALSE(decode_batch_ack(frame.payload, ack).has_value());
+  EXPECT_EQ(ack.accepted, 8u);
+
+  // The next batch restarts the shard: restore, then the journal replays.
+  Client client;
+  ASSERT_TRUE(client.connect(server.endpoint(), 0)) << client.last_error();
+  BatchAckMsg rest;
+  ASSERT_TRUE(client.send_batch(all.subspan(8), rest)) << client.last_error();
+  EXPECT_EQ(rest.accepted, 4u);
+  EstimateMsg est;
+  ASSERT_TRUE(client.query_estimate(0, est)) << client.last_error();
+  MetricsMsg metrics;
+  ASSERT_TRUE(client.metrics(metrics)) << client.last_error();
+  EXPECT_EQ(metrics.restarts, 1u);
+  client.goodbye();
+  raw.shutdown_both();
+  server.stop();
+
+  stream::StreamTracker reference = slow(1000);
+  for (const stream::FluxEvent& e : events) {
+    reference.on_event(e);
+  }
+  EXPECT_EQ(est.events_folded, events.size());
+  EXPECT_EQ(est.epochs_fired, reference.stats().epochs_fired);
+  ASSERT_EQ(est.estimates.size(), 1u);
+  const geom::Vec2 want = reference.estimate(0);
+  EXPECT_EQ(std::memcmp(&est.estimates[0].x, &want.x, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&est.estimates[0].y, &want.y, sizeof(double)), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,6 +23,17 @@ using Popped = EventQueue::Popped;
 
 FluxEvent ev(double time, std::uint32_t node) {
   return {time, 0, 0, node, 1.0};
+}
+
+/// Waiting pop of one event: pop_run with a run bound of 1.
+Popped pop_one(EventQueue& q, FluxEvent& out) {
+  std::vector<FluxEvent> run;
+  const Popped got = q.pop_run(run, 1);
+  if (got == Popped::kEvent) {
+    EXPECT_EQ(run.size(), 1u);
+    out = run.front();
+  }
+  return got;
 }
 
 TEST(EventQueue, RejectsZeroCapacity) {
@@ -60,7 +72,7 @@ TEST(EventQueue, BlockPolicyIsLossless) {
   // Slow consumer: backpressure must keep every event.
   std::vector<std::uint32_t> seen;
   FluxEvent out;
-  while (q.pop(out) == Popped::kEvent) {
+  while (pop_one(q, out) == Popped::kEvent) {
     seen.push_back(out.node);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -72,8 +84,10 @@ TEST(EventQueue, BlockPolicyIsLossless) {
 }
 
 TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
-  EventQueue q(1);
-  ASSERT_TRUE(q.push(ev(0, 0)));
+  // push() enqueues, then waits for room: the push that fills the queue
+  // holds its producer until a pop brings the depth below capacity.
+  EventQueue q(2);
+  ASSERT_TRUE(q.push(ev(0, 0)));  // depth 1 of 2: returns at once
   std::atomic<bool> second_done{false};
   // fluxfp-lint: allow(no-raw-thread) -- must observe a blocked push from
   // outside; only a raw thread can be parked mid-call.
@@ -83,8 +97,9 @@ TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_done.load());  // full queue held the producer
+  EXPECT_EQ(q.size(), 2u);           // with its event already queued
   FluxEvent out;
-  ASSERT_EQ(q.pop(out), Popped::kEvent);
+  ASSERT_EQ(pop_one(q, out), Popped::kEvent);
   producer.join();
   EXPECT_TRUE(second_done.load());
 }
@@ -94,7 +109,8 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
   // queue while this thread snapshots stats() and drains it — under TSan
   // this is the tear/race probe, and the invariants below catch a
   // snapshot that mixed two states.
-  EventQueue q(8);
+  constexpr std::size_t kCapacity = 8;
+  EventQueue q(kCapacity);
   constexpr std::uint64_t kEvents = 20000;
 #if defined(FLUXFP_OBS_ENABLED)
   auto& reg = obs::MetricsRegistry::global();
@@ -119,10 +135,11 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
   while (!done.load()) {
     const QueueStats s = q.stats();
     // Counters are taken under one lock: any snapshot, however racy the
-    // surrounding traffic, must satisfy the queue's conservation laws.
+    // surrounding traffic, must satisfy the queue's conservation laws. One
+    // producer of one-event runs keeps the depth within capacity - 1 + 1.
     ASSERT_LE(s.popped, s.pushed);
-    ASSERT_LE(s.pushed - s.popped, q.capacity());
-    ASSERT_LE(s.max_depth, q.capacity());
+    ASSERT_LE(s.pushed - s.popped, kCapacity);
+    ASSERT_LE(s.max_depth, kCapacity);
     ++polls;
     if ((polls & 3u) == 0) {
       q.try_pop(out);  // the blocked producer only advances as we pop
@@ -147,16 +164,17 @@ TEST(EventQueue, CloseDrainsThenStops) {
   q.close();
   EXPECT_FALSE(q.push(ev(1, 8)));  // no new events after close
   FluxEvent out;
-  EXPECT_EQ(q.pop(out), Popped::kEvent);  // but the backlog still drains
+  EXPECT_EQ(pop_one(q, out), Popped::kEvent);  // but the backlog still drains
   EXPECT_EQ(out.node, 7u);
-  EXPECT_EQ(q.pop(out), Popped::kNone);
+  EXPECT_EQ(pop_one(q, out), Popped::kNone);
 }
 
 TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
-  // Shutdown-wakeup regression guard: a producer parked in a blocked push
-  // must observe close() promptly and return false — shutdown must never
-  // wait for a pop that will not come.
-  EventQueue q(1);
+  // Shutdown-wakeup regression guard: a producer parked waiting for room
+  // must observe close() promptly and return — shutdown must never wait
+  // for a pop that will not come. Its event was queued before the wait,
+  // so the push reports true and the event drains with the backlog.
+  EventQueue q(2);
   ASSERT_TRUE(q.push(ev(0, 0)));
   std::atomic<bool> push_returned{false};
   std::atomic<bool> push_result{true};
@@ -177,23 +195,27 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   }
   EXPECT_TRUE(push_returned.load());  // woke without a pop
   producer.join();
-  EXPECT_FALSE(push_result.load());   // and reported the closure
+  EXPECT_TRUE(push_result.load());  // its event was queued before the wait
   FluxEvent out;
-  EXPECT_EQ(q.pop(out), Popped::kEvent);  // the pre-close backlog still drains
+  EXPECT_EQ(pop_one(q, out), Popped::kEvent);  // the backlog still drains
   EXPECT_EQ(out.node, 0u);
-  EXPECT_EQ(q.pop(out), Popped::kNone);
+  EXPECT_EQ(pop_one(q, out), Popped::kEvent);
+  EXPECT_EQ(out.node, 1u);
+  EXPECT_EQ(pop_one(q, out), Popped::kNone);
+  EXPECT_FALSE(q.push(ev(2, 2)));  // and nothing joins it after the close
 }
 
 TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
   EventQueue q(2);
-  ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
-  ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
+  const FluxEvent first[] = {{0.0, 5, 0, 10, 1.0}, {1.0, 9, 0, 11, 1.0}};
+  ASSERT_TRUE(q.push_run(first));
   ASSERT_TRUE(q.push_marker());  // full queue: a marker still never waits
   EXPECT_EQ(q.size(), 2u);       // and is not counted as an event
   FluxEvent out;
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);  // a pop ahead moves it up
   EXPECT_EQ(out.node, 10u);
-  ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
+  const FluxEvent third[] = {{2.0, 5, 1, 12, 1.0}};
+  ASSERT_TRUE(q.push_run(third));
   ASSERT_TRUE(q.push_marker());
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.node, 11u);
@@ -201,10 +223,10 @@ TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
   EXPECT_EQ(out.node, 11u);  // a marker leaves `out` alone
   q.close();
   EXPECT_FALSE(q.push_marker());
-  ASSERT_EQ(q.pop(out), Popped::kEvent);  // the backlog still drains ...
+  ASSERT_EQ(pop_one(q, out), Popped::kEvent);  // the backlog still drains ...
   EXPECT_EQ(out.node, 12u);
-  EXPECT_EQ(q.pop(out), Popped::kMarker);  // ... markers included
-  EXPECT_EQ(q.pop(out), Popped::kNone);
+  EXPECT_EQ(pop_one(q, out), Popped::kMarker);  // ... markers included
+  EXPECT_EQ(pop_one(q, out), Popped::kNone);
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 3u);
   EXPECT_EQ(s.pushed, s.popped);
@@ -214,6 +236,7 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
   EventQueue q(4);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 50;
+  constexpr std::size_t kTotal = kProducers * kPerProducer;
   // fluxfp-lint: allow(no-raw-thread) -- multi-producer contention test;
   // the queue's own contract is the thing under test.
   std::vector<std::thread> producers;
@@ -224,24 +247,124 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
       }
     });
   }
-  // fluxfp-lint: allow(no-raw-thread) -- closes the queue only after every
-  // producer exits; raw join ordering is the scenario itself.
-  std::thread closer([&] {
-    for (auto& t : producers) {
-      t.join();
-    }
-    q.close();
-  });
-  std::vector<bool> seen(kProducers * kPerProducer, false);
+  // Every producer's last push waits until the consumer drains below the
+  // capacity, so taking all kTotal events releases them all.
+  std::vector<bool> seen(kTotal, false);
   FluxEvent out;
   std::size_t total = 0;
-  while (q.pop(out) == Popped::kEvent) {
+  while (total < kTotal && pop_one(q, out) == Popped::kEvent) {
     EXPECT_FALSE(seen[out.node]);
     seen[out.node] = true;
     ++total;
   }
-  closer.join();
-  EXPECT_EQ(total, static_cast<std::size_t>(kProducers * kPerProducer));
+  for (auto& t : producers) {
+    t.join();
+  }
+  EXPECT_EQ(total, kTotal);
+  EXPECT_EQ(q.try_pop(out), Popped::kNone);  // and nothing beyond them
+}
+
+TEST(EventQueue, RunPushNeverWaitsEvenOnAFullQueue) {
+  // No consumer exists: a push_run that waited would hang here.
+  EventQueue q(2);
+  std::vector<FluxEvent> run;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    run.push_back(ev(i, i));
+  }
+  ASSERT_TRUE(q.push_run(run));  // 5 events into a capacity of 2
+  ASSERT_TRUE(q.push_run(run));  // and 5 more onto the full queue
+  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.stats().max_depth, 10u);
+  FluxEvent out;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+    EXPECT_EQ(out.node, i % 5);  // one run after the other, in order
+  }
+  q.close();
+  EXPECT_FALSE(q.push_run(run));  // a closed queue takes nothing
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, WaitForRoomWaitsForAPopBelowCapacityOrAClose) {
+  EventQueue q(2);
+  const FluxEvent three[] = {ev(0, 0), ev(1, 1), ev(2, 2)};
+  ASSERT_TRUE(q.push_run(three));  // depth 3 of 2
+  std::atomic<bool> first_released{false};
+  std::atomic<bool> second_armed{false};
+  std::atomic<bool> second_released{false};
+  // fluxfp-lint: allow(no-raw-thread) -- must park a waiter mid-call and
+  // release it from outside, by a pop and then by close().
+  std::thread waiter([&] {
+    q.wait_for_room();
+    first_released.store(true);
+    while (!second_armed.load()) {
+      std::this_thread::yield();
+    }
+    q.wait_for_room();
+    second_released.store(true);
+  });
+  const auto eventually = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return flag.load();
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(first_released.load());  // depth 3: no room
+  FluxEvent out;
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(first_released.load());  // depth 2 is still no room
+  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+  EXPECT_TRUE(eventually(first_released));  // depth 1: room
+
+  ASSERT_TRUE(q.push_run(three));  // depth 4, and no pop will come
+  second_armed.store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(second_released.load());
+  q.close();
+  EXPECT_TRUE(eventually(second_released));  // the close released it
+  waiter.join();
+  EXPECT_EQ(q.size(), 4u);  // and the backlog stays poppable
+}
+
+TEST(EventQueue, PopRunIsBoundedAndStopsAtAMarker) {
+  EventQueue q(64);
+  std::vector<FluxEvent> events;
+  for (std::uint32_t i = 0; i < 15; ++i) {
+    events.push_back(ev(i, i));
+  }
+  const std::span<const FluxEvent> all(events);
+  ASSERT_TRUE(q.push_run(all.first(10)));
+  ASSERT_TRUE(q.push_marker());
+  ASSERT_TRUE(q.push_run(all.subspan(10)));
+  std::vector<FluxEvent> run;
+  std::vector<std::uint32_t> nodes;
+  const auto take = [&](std::size_t max_run) {
+    const Popped got = q.pop_run(run, max_run);
+    nodes.clear();
+    for (const FluxEvent& e : run) {
+      nodes.push_back(e.node);
+    }
+    return got;
+  };
+  ASSERT_EQ(take(4), Popped::kEvent);
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  ASSERT_EQ(take(4), Popped::kEvent);
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{4, 5, 6, 7}));
+  ASSERT_EQ(take(4), Popped::kEvent);  // the marker cuts this run short
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{8, 9}));
+  ASSERT_EQ(take(4), Popped::kMarker);
+  EXPECT_TRUE(run.empty());
+  ASSERT_EQ(take(100), Popped::kEvent);  // a run is at most what is queued
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{10, 11, 12, 13, 14}));
+  q.close();
+  EXPECT_EQ(take(4), Popped::kNone);
+  const QueueStats s = q.stats();
+  EXPECT_EQ(s.pushed, 15u);
+  EXPECT_EQ(s.popped, 15u);
 }
 
 }  // namespace

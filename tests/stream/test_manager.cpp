@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -292,6 +294,99 @@ TEST(TrackerManager, UnknownUserAndShedCountersMatchReturnedStatuses) {
       reg.counter("fluxfp_stream_unknown_user_total", "").value() - unknown0,
       3u);
 #endif
+}
+
+TEST(TrackerManager, SpanOfferShedsExactlyTheEventsPastTheQuota) {
+  // A span is admitted in one hold of the flow lock, so no fold can free a
+  // quota slot in the middle of it: each tenant keeps exactly its first
+  // `quota` events of the span and sheds the rest, whatever the workers
+  // are doing.
+  const Bed bed;
+  constexpr std::size_t kQuota = 3;
+  ManagerConfig mc;
+  mc.workers = 2;
+  mc.tenant_quota = kQuota;
+  TrackerManager m(mc);
+  // Users 0 and 2 belong to tenant 0, user 1 to tenant 1.
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    SessionOptions opts;
+    opts.tenant = u == 1 ? 1 : 0;
+    m.add_session(u, slow_tracker(bed, 1 + u), opts);
+  }
+  m.start();
+  std::vector<FluxEvent> span;
+  for (std::uint32_t e = 0; e < 5; ++e) {
+    for (const std::uint32_t u : {0u, 1u, 2u, 99u}) {
+      span.push_back(epoch_event(u, e, bed));
+    }
+  }
+  std::vector<PushStatus> status(span.size());
+  m.offer(span, status).wait();
+
+  std::map<std::uint32_t, std::size_t> kept;  // tenant -> accepted so far
+  std::vector<std::uint64_t> accepted_of(3, 0);
+  for (std::size_t i = 0; i < span.size(); ++i) {
+    const std::uint32_t user = span[i].user;
+    if (user == 99) {
+      EXPECT_EQ(status[i], PushStatus::kUnknownUser) << "event " << i;
+      continue;
+    }
+    const std::uint32_t tenant = user == 1 ? 1 : 0;
+    if (kept[tenant] < kQuota) {
+      EXPECT_EQ(status[i], PushStatus::kAccepted) << "event " << i;
+      ++kept[tenant];
+      ++accepted_of[user];
+    } else {
+      EXPECT_EQ(status[i], PushStatus::kShedQuota) << "event " << i;
+    }
+  }
+  m.finish();
+  // Everything admitted was folded, and nothing else.
+  EXPECT_EQ(m.stats().events_routed, 2 * kQuota);
+  EXPECT_EQ(m.stats().events_processed, 2 * kQuota);
+  EXPECT_EQ(m.stats().unknown_user, 5u);
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    EXPECT_EQ(m.session(u).stats().events, accepted_of[u]) << "user " << u;
+  }
+}
+
+TEST(TrackerManager, SpanOffersFoldLikeOneEventOffers) {
+  // A span is split into one run per worker, each in offer order: the
+  // sessions see the same event sequences as from one-event offers, so
+  // the images are bit-identical at any worker count and span length.
+  const Bed bed;
+  constexpr std::size_t kSessions = 3;
+  std::vector<std::vector<FluxEvent>> streams;
+  for (std::uint32_t u = 0; u < kSessions; ++u) {
+    streams.push_back(bed.session_events(u, 5, 31 + u));
+  }
+  const std::vector<FluxEvent> merged =
+      merge_by_time(std::span<const std::vector<FluxEvent>>(streams));
+  const std::string want = run_manager(bed, kSessions, 1, merged).back();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t length : {std::size_t{7}, std::size_t{64}}) {
+      ManagerConfig mc;
+      mc.workers = workers;
+      mc.queue_capacity = 4;  // every span overruns the queues
+      TrackerManager m(mc);
+      for (std::uint32_t u = 0; u < kSessions; ++u) {
+        m.add_session(u, bed.tracker(1000 + u));
+      }
+      m.start();
+      const std::span<const FluxEvent> all(merged);
+      for (std::size_t at = 0; at < all.size(); at += length) {
+        const auto span = all.subspan(at, std::min(length, all.size() - at));
+        std::vector<PushStatus> status(span.size());
+        m.offer(span, status).wait();
+        for (const PushStatus st : status) {
+          ASSERT_EQ(st, PushStatus::kAccepted);
+        }
+      }
+      m.finish();
+      EXPECT_EQ(encode_checkpoint(m.checkpoint()), want)
+          << "workers " << workers << " span " << length;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -516,6 +517,99 @@ TEST(Supervisor, HeartbeatHasNoFalsePositivesOnAHealthyShard) {
   sup.finish();
   EXPECT_EQ(sup.stats().stalls_detected, 0u);
   EXPECT_EQ(sup.stats().restarts, 0u);
+}
+
+TEST(Supervisor, SpanCutsLandOnSpanBoundaries) {
+  // The cadence is checked once per span, so every cut falls between two
+  // spans, and offers_covered still counts events: each commit's image is
+  // the one a plain manager gives after exactly that many events.
+  const Bed bed;
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kSpan = 16;
+  const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 73);
+  ASSERT_GT(events.size(), 100u);
+  SupervisorConfig cfg;
+  cfg.checkpoint_every_epochs = 1;
+  Supervisor sup(bed.factory(kSessions, 2), cfg);
+  sup.start();
+  std::map<std::uint64_t, std::string> committed;  // offers -> image
+  std::uint64_t seen = sup.stats().checkpoints;
+  const std::span<const FluxEvent> all(events);
+  for (std::size_t at = 0; at < all.size(); at += kSpan) {
+    // Folds everything so far: the cadence sees the fired epochs, and a
+    // pending cut is complete when the next span commits it.
+    sup.quiesce();
+    const auto span = all.subspan(at, std::min(kSpan, all.size() - at));
+    std::vector<PushStatus> status(span.size());
+    sup.offer(span, status).wait();
+    const SupervisorStats st = sup.stats();
+    if (st.checkpoints != seen) {
+      seen = st.checkpoints;
+      EXPECT_EQ(st.offers_covered % kSpan, 0u);
+      EXPECT_LE(st.offers_covered, at);  // requested by an earlier span
+      committed[st.offers_covered] = sup.checkpoint_image();
+    }
+  }
+  sup.finish();
+  EXPECT_GE(committed.size(), 3u);
+  auto plain = bed.factory(kSessions, 1)();
+  plain->start();
+  std::size_t fed = 0;
+  for (const auto& [covered, image] : committed) {
+    for (; fed < covered; ++fed) {
+      plain->offer(events[fed]);
+    }
+    EXPECT_EQ(image, encode_checkpoint(plain->checkpoint()))
+        << "covered " << covered;
+  }
+}
+
+TEST(Supervisor, CrashWhileASpanWaitsForRoomReleasesItAndReplays) {
+  // The room a span offer returns outlives the incarnation it was offered
+  // to: a crash destroys the manager and closes its queues, which
+  // releases the wait, and the span's events, journaled, replay.
+  const Bed bed;
+  constexpr std::size_t kSessions = 2;
+  constexpr std::size_t kSpan = 24;
+  const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 29);
+  const std::string plain = plain_image(bed, kSessions, 1, events);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SupervisorConfig cfg;
+    cfg.checkpoint_every_epochs = 4;
+    cfg.backoff_base = 0.0;  // restart on the next offer
+    Supervisor sup(
+        [&bed, workers] {
+          ManagerConfig mc;
+          mc.workers = workers;
+          mc.queue_capacity = 2;  // every span overruns its queues
+          auto m = std::make_unique<TrackerManager>(mc);
+          for (std::uint32_t u = 0; u < kSessions; ++u) {
+            m->add_session(u, bed.tracker(1000 + u));
+          }
+          return m;
+        },
+        cfg);
+    sup.start();
+    const std::span<const FluxEvent> all(events);
+    std::size_t crashes = 0;
+    for (std::size_t at = 0, k = 0; at < all.size(); at += kSpan, ++k) {
+      const auto span = all.subspan(at, std::min(kSpan, all.size() - at));
+      std::vector<PushStatus> status(span.size());
+      const RoomWait room = sup.offer(span, status);
+      for (const PushStatus st : status) {
+        EXPECT_EQ(st, PushStatus::kAccepted);
+      }
+      if (k % 3 == 1) {
+        sup.inject_crash();  // the manager dies before the wait
+        ++crashes;
+      }
+      room.wait();  // must return, on the dead incarnation's queues too
+    }
+    sup.finish();
+    EXPECT_EQ(sup.checkpoint_image(), plain) << "workers " << workers;
+    EXPECT_EQ(sup.stats().restarts, crashes);
+    EXPECT_EQ(sup.stats().offers_covered, events.size());
+  }
 }
 
 }  // namespace

@@ -304,7 +304,7 @@ TEST(NoRawSockets, MemberCallsAndQualifiedNamesAreClean) {
 TEST(Cli, WholeFixtureTreeReportsEveryViolation) {
   const RunResult r = run_lint(fixture_args("src"));
   EXPECT_EQ(r.exit_code, kViolations) << r.output;
-  EXPECT_NE(r.output.find("35 violations"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("36 violations"), std::string::npos) << r.output;
 }
 
 TEST(Cli, RuleFilterNarrowsFindings) {
@@ -367,6 +367,10 @@ TEST(GuardedMember, FlagsUnannotatedWriteAndBareGuardedRead) {
   // total_ is guarded but read with no lock held.
   EXPECT_TRUE(has_line_starting(
       r, "src/stream/guarded_member_bad.cpp:18: guarded-member:"))
+      << r.output;
+  // tally_.sum += n under mu_: a field assignment writes the member.
+  EXPECT_TRUE(has_line_starting(
+      r, "src/stream/guarded_member_bad.cpp:23: guarded-member:"))
       << r.output;
 }
 

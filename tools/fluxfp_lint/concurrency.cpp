@@ -695,7 +695,8 @@ class ScopeWalker {
 
   /// Mutation heuristic for the member at index i: direct assignment,
   /// compound assignment, increment/decrement (either side), subscripted
-  /// assignment, or a non-whitelisted method call.
+  /// assignment, assignment to one of its fields, or a non-whitelisted
+  /// method call.
   bool is_write_access(std::size_t i, std::size_t end) const {
     const auto& toks = f_.tokens;
     if (i > 0 &&
@@ -718,6 +719,19 @@ class ScopeWalker {
     for (const char* op : kAssignOps) {
       if (is_punct(nxt, op)) {
         return true;
+      }
+    }
+    // A field of the member assigned to: `stats_.pushed += n;`. Through a
+    // subscripted `->` the field belongs to the pointee, as for calls.
+    for (std::size_t k = j;
+         k + 2 < end && (is_punct(toks[k], ".") || is_punct(toks[k], "->")) &&
+         toks[k + 1].kind == TokKind::kIdent &&
+         !(subscripted && is_punct(toks[k], "->"));
+         k += 2) {
+      for (const char* op : kAssignOps) {
+        if (is_punct(toks[k + 2], op)) {
+          return true;
+        }
       }
     }
     if ((is_punct(nxt, ".") || is_punct(nxt, "->")) && j + 2 < end &&
