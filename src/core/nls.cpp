@@ -1,7 +1,9 @@
 #include "core/nls.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "net/flux.hpp"
@@ -12,6 +14,22 @@
 #include "obs/instrument.hpp"
 
 namespace fluxfp::core {
+
+namespace {
+
+/// Hash of a site's four coordinates, consistent with == on them: -0.0
+/// hashes as +0.0. (NaN coordinates never reach it.)
+std::size_t site_hash(geom::Vec2 a, geom::Vec2 b) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const double v : {a.x, a.y, b.x, b.y}) {
+    const std::uint64_t bits = v == 0.0 ? 0 : std::bit_cast<std::uint64_t>(v);
+    h = (h ^ bits) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+}  // namespace
 
 std::vector<double> robust_weights(std::span<const double> residuals,
                                    const RobustFitConfig& config) {
@@ -138,7 +156,14 @@ void SparseObjective::compact(const std::vector<bool>& valid) {
   // ascending-index scan overwrites the surviving row with every later
   // duplicate it meets, so the tie-break at equal timestamps is
   // last-arrival wins, index-ordered — independent of thread count, which
-  // never reorders the input vector.
+  // never reorders the input vector. Sites match under == on all four
+  // coordinates (+0.0 matches -0.0, a NaN coordinate matches nothing);
+  // the surviving row keeps its first occurrence's place and coordinates.
+  // An open-addressing table of the live rows finds a site's earlier
+  // occurrence in O(1): slot = row + 1, 0 = empty.
+  const std::size_t slots =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * measured_.size()));
+  std::vector<std::size_t> table(slots, 0);
   std::size_t live = 0;
   for (std::size_t i = 0; i < measured_.size(); ++i) {
     const bool ok =
@@ -146,22 +171,28 @@ void SparseObjective::compact(const std::vector<bool>& valid) {
     if (!ok) {
       continue;
     }
-    bool duplicate = false;
-    for (std::size_t j = 0; j < live; ++j) {
-      if (sample_positions_[j].x == sample_positions_[i].x &&
-          sample_positions_[j].y == sample_positions_[i].y &&
-          positions_b_[j].x == positions_b_[i].x &&
-          positions_b_[j].y == positions_b_[i].y) {
-        measured_[j] = measured_[i];
-        duplicate = true;
-        break;
+    const geom::Vec2 a = sample_positions_[i];
+    const geom::Vec2 b = positions_b_[i];
+    if (!std::isnan(a.x) && !std::isnan(a.y) && !std::isnan(b.x) &&
+        !std::isnan(b.y)) {
+      std::size_t slot = site_hash(a, b) & (slots - 1);
+      bool duplicate = false;
+      for (; table[slot] != 0; slot = (slot + 1) & (slots - 1)) {
+        const std::size_t j = table[slot] - 1;
+        if (sample_positions_[j].x == a.x && sample_positions_[j].y == a.y &&
+            positions_b_[j].x == b.x && positions_b_[j].y == b.y) {
+          measured_[j] = measured_[i];
+          duplicate = true;
+          break;
+        }
       }
+      if (duplicate) {
+        continue;
+      }
+      table[slot] = live + 1;
     }
-    if (duplicate) {
-      continue;
-    }
-    sample_positions_[live] = sample_positions_[i];
-    positions_b_[live] = positions_b_[i];
+    sample_positions_[live] = a;
+    positions_b_[live] = b;
     measured_[live] = measured_[i];
     ++live;
   }

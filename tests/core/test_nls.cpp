@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <random>
 #include <span>
 
@@ -206,6 +210,134 @@ TEST(SparseObjective, LinkSitesSharingOneEndpointAreNotDeduped) {
   ASSERT_EQ(obj.measured().size(), 2u);
   EXPECT_EQ(obj.measured()[0], 3.5);  // last-arrival of the duplicate pair
   EXPECT_EQ(obj.measured()[1], 2.5);
+}
+
+/// The quadratic duplicate scan SparseObjective used before its hashed
+/// lookup: the reference the hashed collapse must reproduce bit for bit.
+struct Compacted {
+  std::vector<geom::Vec2> a;
+  std::vector<geom::Vec2> b;
+  std::vector<double> measured;
+  std::size_t masked = 0;
+};
+
+Compacted quadratic_compact(std::vector<geom::Vec2> a,
+                            std::vector<geom::Vec2> b,
+                            std::vector<double> measured,
+                            const std::vector<bool>& valid) {
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    if ((!valid.empty() && !valid[i]) || net::is_missing(measured[i])) {
+      continue;
+    }
+    bool duplicate = false;
+    for (std::size_t j = 0; j < live; ++j) {
+      if (a[j].x == a[i].x && a[j].y == a[i].y && b[j].x == b[i].x &&
+          b[j].y == b[i].y) {
+        measured[j] = measured[i];
+        duplicate = true;
+        break;
+      }
+    }
+    if (duplicate) {
+      continue;
+    }
+    a[live] = a[i];
+    b[live] = b[i];
+    measured[live] = measured[i];
+    ++live;
+  }
+  Compacted out;
+  out.masked = measured.size() - live;
+  a.resize(live);
+  b.resize(live);
+  measured.resize(live);
+  out.a = std::move(a);
+  out.b = std::move(b);
+  out.measured = std::move(measured);
+  return out;
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+TEST(SparseObjective, HashedDuplicateCollapseMatchesTheQuadraticScan) {
+  // Coordinates drawn from a small pool so sites repeat, with +-0.0 (equal
+  // under ==, different bits: the first occurrence's must survive), NaN
+  // (never equal, not even to itself) and +-inf (equal to themselves).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> pool{0.0, -0.0, 1.0, 2.5, -3.0, inf, -inf, nan};
+  const geom::RectField field(30.0, 30.0);
+  const auto model = std::make_shared<FluxModel>(field, 1.0);
+  std::mt19937_64 gen(2010);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(gen() % n);
+  };
+  std::size_t repeats = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + pick(40);
+    std::vector<geom::Vec2> a(n);
+    std::vector<geom::Vec2> b(n);
+    std::vector<double> measured(n);
+    const bool points = trial % 2 == 0;  // b == a, else independent links
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = {pool[pick(pool.size())], pool[pick(pool.size())]};
+      b[i] = points ? a[i]
+                    : geom::Vec2{pool[pick(pool.size())],
+                                 pool[pick(pool.size())]};
+      switch (pick(8)) {
+        case 0:
+          measured[i] = net::kMissingReading;
+          break;
+        case 1:
+          measured[i] = -inf;
+          break;
+        case 2:
+          measured[i] = -0.0;
+          break;
+        default:
+          measured[i] = static_cast<double>(pick(1000)) / 7.0;
+      }
+    }
+    std::vector<bool> valid;
+    if (trial % 3 != 0) {
+      valid.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        valid[i] = pick(5) != 0;
+      }
+    }
+    std::vector<Site> sites;
+    for (std::size_t i = 0; i < n; ++i) {
+      sites.push_back(Site{a[i], b[i]});
+    }
+    const Compacted want = quadratic_compact(a, b, measured, valid);
+    const SparseObjective got =
+        points ? SparseObjective(*model, a, measured, valid)
+               : SparseObjective(model, sites, measured, valid);
+    ASSERT_EQ(got.masked_count(), want.masked) << "trial " << trial;
+    ASSERT_EQ(got.sample_positions().size(), want.a.size())
+        << "trial " << trial;
+    ASSERT_EQ(got.measured().size(), want.measured.size());
+    for (std::size_t i = 0; i < want.a.size(); ++i) {
+      const Site site = got.site(i);
+      EXPECT_TRUE(same_bits(got.sample_positions()[i].x, want.a[i].x) &&
+                  same_bits(got.sample_positions()[i].y, want.a[i].y) &&
+                  same_bits(site.b.x, want.b[i].x) &&
+                  same_bits(site.b.y, want.b[i].y))
+          << "trial " << trial << " row " << i;
+      EXPECT_TRUE(same_bits(got.measured()[i], want.measured[i]))
+          << "trial " << trial << " row " << i;
+    }
+    std::size_t live_inputs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      live_inputs += (valid.empty() || valid[i]) &&
+                     !net::is_missing(measured[i]);
+    }
+    repeats += live_inputs - want.a.size();
+  }
+  EXPECT_GT(repeats, 1000u) << "the inputs must actually repeat sites";
 }
 
 TEST(SparseObjective, ValidityMaskExcludesSamples) {
