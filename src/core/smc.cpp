@@ -131,6 +131,18 @@ void SmcTracker::restore_state(const SmcState& state) {
       throw std::invalid_argument(
           "SmcTracker: snapshot weights do not sum to 1");
     }
+    // The motion state step() leaves: an estimate and a unit (or zero)
+    // heading are finite; the last update time is an event time, +inf
+    // after an inf timestamp but never NaN.
+    if (!std::isfinite(us.prev_estimate.x) ||
+        !std::isfinite(us.prev_estimate.y) || !std::isfinite(us.heading.x) ||
+        !std::isfinite(us.heading.y)) {
+      throw std::invalid_argument(
+          "SmcTracker: snapshot estimate or heading non-finite");
+    }
+    if (std::isnan(us.t_last)) {
+      throw std::invalid_argument("SmcTracker: snapshot update time is NaN");
+    }
   }
   for (std::size_t u = 0; u < particles_.size(); ++u) {
     const SmcUserState& us = state.users[u];

@@ -251,6 +251,17 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
         "StreamTracker: snapshot holds a window for an epoch that already "
         "fired");
   }
+  // The virtual clocks start at 0 and only grow through std::max over
+  // event times, so none is NaN or negative; +inf follows an inf
+  // timestamp. (`>= 0.0` is false for NaN.)
+  bool clocks_ok = state.now >= 0.0 && state.last_step_time >= 0.0;
+  for (const WindowState& ws : state.open) {
+    clocks_ok = clocks_ok && ws.newest_time >= 0.0;
+  }
+  if (!clocks_ok) {
+    throw std::invalid_argument(
+        "StreamTracker: snapshot clock NaN or negative");
+  }
   geom::Rng restored_rng;
   {
     std::istringstream is(state.rng);

@@ -563,6 +563,26 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
     }
     return s;
   };
+  // And so are values of the motion state and the clocks that no event
+  // sequence produces: a non-finite estimate or heading, a NaN update
+  // time, and a NaN or negative clock.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with_user = [&](auto edit) {
+    StreamTrackerState s = good;
+    edit(s.smc.users[0]);
+    return s;
+  };
+  const auto with_clocks = [&](double now, double last_step,
+                               double newest) {
+    StreamTrackerState s = with_windows(good.last_fired_epoch + 1, 1);
+    s.now = now;
+    s.last_step_time = last_step;
+    s.open[0].newest_time = newest;
+    return s;
+  };
+  const double now = good.now;
+  const double step = good.last_step_time;
   for (const StreamTrackerState& bad :
        {with_particle([](core::Particle& p) {
           p.position.x = std::numeric_limits<double>::quiet_NaN();
@@ -573,16 +593,26 @@ TEST(StreamTracker, RestoreRejectsMalformedStateWithoutMutating) {
         }),
         with_particle([](core::Particle& p) { p.weight = -1.0; }),
         with_windows(good.last_fired_epoch + 1, max_open + 1),
-        with_windows(good.last_fired_epoch, 1)}) {
+        with_windows(good.last_fired_epoch, 1),
+        with_user([&](core::SmcUserState& u) { u.prev_estimate.x = nan; }),
+        with_user([&](core::SmcUserState& u) { u.prev_estimate.y = inf; }),
+        with_user([&](core::SmcUserState& u) { u.heading.x = -inf; }),
+        with_user([&](core::SmcUserState& u) { u.heading.y = nan; }),
+        with_user([&](core::SmcUserState& u) { u.t_last = nan; }),
+        with_clocks(nan, step, 0.0), with_clocks(-1.0, step, 0.0),
+        with_clocks(now, nan, 0.0), with_clocks(now, -1e-9, 0.0),
+        with_clocks(now, step, nan), with_clocks(now, step, -2.0)}) {
     EXPECT_THROW(target.restore_state(bad), std::invalid_argument);
     EXPECT_EQ(image(target.save_state()), before);
   }
-  // An unbounded last-update time is a state the tracker reaches after an
-  // inf event timestamp, so it still restores.
+  // An unbounded time is a state the tracker reaches after an inf event
+  // timestamp, so it still restores, in the filter and in every clock.
   StreamTrackerState unbounded = good;
-  unbounded.smc.users[0].t_last = std::numeric_limits<double>::infinity();
+  unbounded.smc.users[0].t_last = inf;
   StreamTracker other = bed.tracker(3);
   EXPECT_NO_THROW(other.restore_state(unbounded));
+  EXPECT_NO_THROW(other.restore_state(with_clocks(inf, inf, inf)));
+  EXPECT_NO_THROW(other.restore_state(with_clocks(now, step, 0.0)));
   EXPECT_NO_THROW(
       other.restore_state(with_windows(good.last_fired_epoch + 1, max_open)));
 
