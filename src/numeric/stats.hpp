@@ -31,8 +31,6 @@ class EmpiricalCdf {
 
   /// Fraction of samples <= v.
   double evaluate(double v) const;
-  std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;
