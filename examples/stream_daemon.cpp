@@ -90,9 +90,9 @@ void print_help() {
       "  --faulty              apply transport faults "
       "(drop/dup/late/jitter)\n"
       "  --checkpoint PATH     write FLUXFPC1 snapshots to PATH (every 32\n"
-      "                        fired epochs) and the covered trace offset\n"
-      "                        to PATH.pos\n"
-      "  --restore PATH        resume from PATH (+ PATH.pos)\n"
+      "                        fired epochs)\n"
+      "  --restore PATH        resume from the snapshot at PATH, skipping\n"
+      "                        the trace events it covers\n"
       "  --metrics             print the Prometheus exposition at exit\n"
       "\n"
       "serve:\n"
@@ -111,8 +111,6 @@ void print_help() {
       "  --checkpoint PATH     persist FLUXFPC1 snapshots to PATH\n"
       "  --checkpoint-epochs N snapshot cadence in fired epochs "
       "(default 32)\n"
-      "  --latency-sample N    sample every Nth accepted event "
-      "(default 16)\n"
       "\n"
       "query ADDR:\n"
       "  --tenant T --token K  authenticate as tenant T\n"
@@ -189,16 +187,6 @@ stream::Supervisor::ManagerFactory make_factory(
     }
     return m;
   };
-}
-
-bool read_pos_file(const std::string& path, std::uint64_t& out) {
-  std::ifstream in(path);
-  return static_cast<bool>(in >> out);
-}
-
-void write_pos_file(const std::string& path, std::uint64_t pos) {
-  std::ofstream out(path, std::ios::trunc);
-  out << pos << "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +270,10 @@ int run_local(int argc, char** argv, int first) {
               stream::kTraceHeaderBytes +
                   events.size() * stream::kTraceRecordBytes);
 
-  // Resume state: the snapshot plus the trace offset it covers.
+  // Resume state: the snapshot, and the trace offset it covers. The replay
+  // below sets no quota and the trace holds only this deployment's
+  // sessions, so every offered event reaches one session's on_event():
+  // the image's own count of events taken is that offset.
   stream::ManagerCheckpoint restored;
   bool have_restore = false;
   std::uint64_t skip = 0;
@@ -293,10 +284,8 @@ int run_local(int argc, char** argv, int first) {
                    err->to_string().c_str());
       return 1;
     }
-    if (!read_pos_file(restore_path + ".pos", skip)) {
-      std::fprintf(stderr, "restore: cannot read %s.pos\n",
-                   restore_path.c_str());
-      return 1;
+    for (const stream::SessionCheckpoint& sc : restored.sessions) {
+      skip += stream::events_taken(sc.state.stats);
     }
     have_restore = true;
     std::printf("restoring %zu sessions from %s, skipping %llu committed "
@@ -332,14 +321,10 @@ int run_local(int argc, char** argv, int first) {
   }
 
   // The replay loop stops between events on SIGINT/SIGTERM, and pacing
-  // sleeps stay interruptible; the resume offset advances in lockstep with
-  // committed checkpoints. A commit lands a few offers after its cut, so
-  // the offset is the supervisor's count of offers the image covers, not
-  // the offers made so far.
+  // sleeps stay interruptible.
   std::ifstream trace_in(trace_path, std::ios::binary);
   stream::TraceReplayer replayer(trace_in);
   std::uint64_t offered = 0;
-  std::uint64_t checkpoints_seen = supervisor.stats().checkpoints;
   {
     stream::FluxEvent skipped;
     for (std::uint64_t i = 0; i < skip && replayer.next(skipped); ++i) {
@@ -364,12 +349,6 @@ int run_local(int argc, char** argv, int first) {
       return checkpoint_failed(e);
     }
     ++offered;
-    if (!checkpoint_path.empty() &&
-        supervisor.stats().checkpoints != checkpoints_seen) {
-      checkpoints_seen = supervisor.stats().checkpoints;
-      write_pos_file(checkpoint_path + ".pos",
-                     skip + supervisor.stats().offers_covered);
-    }
   }
   if (replayer.error()) {
     std::fprintf(stderr, "trace %s: %s\n", trace_path.c_str(),
@@ -388,11 +367,6 @@ int run_local(int argc, char** argv, int first) {
                                     std::chrono::steady_clock::now() -
                                     replay_start)
                                     .count();
-  if (!checkpoint_path.empty()) {
-    // finish() wrote the final post-flush snapshot; it covers every offer.
-    write_pos_file(checkpoint_path + ".pos",
-                   skip + supervisor.stats().offers_covered);
-  }
 
   const stream::TrackerManager* manager = supervisor.manager();
   if (manager == nullptr) {
@@ -468,7 +442,6 @@ int run_serve(int argc, char** argv, int first) {
   std::size_t quota = 0;
   std::size_t queue_capacity = 256;
   std::size_t checkpoint_epochs = 32;
-  std::size_t latency_sample = 16;
   std::string checkpoint_path;
   std::map<std::uint32_t, std::uint64_t> tokens;
   ArgCursor args{argc, argv, first};
@@ -492,8 +465,6 @@ int run_serve(int argc, char** argv, int first) {
       checkpoint_path = args.value(a);
     } else if (!std::strcmp(a, "--checkpoint-epochs")) {
       checkpoint_epochs = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--latency-sample")) {
-      latency_sample = parse_u64(a, args.value(a));
     } else if (!std::strcmp(a, "--token")) {
       const std::string pair = args.value(a);
       const std::size_t colon = pair.find(':');
@@ -532,7 +503,6 @@ int run_serve(int argc, char** argv, int first) {
   netio::ServerConfig ncfg;
   ncfg.endpoint = parse_endpoint(listen);
   ncfg.tenant_tokens = std::move(tokens);
-  ncfg.latency_sample_every = latency_sample;
 
   netio::Server server(factory, scfg, ncfg);
   try {

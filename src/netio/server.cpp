@@ -84,14 +84,6 @@ void Server::inject_crash() {
   supervisor_.inject_crash();
 }
 
-MetricsMsg Server::metrics() {
-  support::MutexLock lock(ingest_mutex_);
-  if (supervisor_.quiesce()) {
-    mark_quiesced_locked();
-  }
-  return metrics_locked();
-}
-
 void Server::accept_loop() {
   while (true) {
     Socket conn_socket = listener_.accept_one();
@@ -249,18 +241,12 @@ bool Server::handle_frame(Connection& conn, bool& authed,
         ++batches_total_;
         unknown_total_ += ack.unknown;
         foreign_total_ += ack.foreign;
-        const auto now = std::chrono::steady_clock::now();
         room = supervisor_.offer(events, status);
         for (const PushStatus outcome : status) {
           switch (outcome) {
             case PushStatus::kAccepted:
               ++ack.accepted;
               ++accepted_total_;
-              if (config_.latency_sample_every > 0 &&
-                  accepted_total_ % config_.latency_sample_every == 0 &&
-                  pending_samples_.size() < config_.max_latency_samples) {
-                pending_samples_.push_back({accepted_total_, now});
-              }
               break;
             case PushStatus::kShedQuota:
               ++ack.shed;
@@ -276,7 +262,6 @@ bool Server::handle_frame(Connection& conn, bool& authed,
               break;
           }
         }
-        observe_progress_locked();
       }
       // Backpressure outside the lock: the other connections offer, query
       // and cut while this one waits for its workers to drain below the
@@ -316,7 +301,6 @@ bool Server::handle_frame(Connection& conn, bool& authed,
         support::MutexLock lock(ingest_mutex_);
         shard_up = supervisor_.quiesce();
         if (shard_up) {
-          mark_quiesced_locked();
           const stream::StreamTracker& tracker =
               supervisor_.manager()->session(query.user);
           estimate.user = query.user;
@@ -360,16 +344,8 @@ bool Server::handle_frame(Connection& conn, bool& authed,
         return send_error(conn, ErrorCode::kNotAuthenticated, 0,
                           "first frame must be HELLO");
       }
-      MetricsMsg report;
-      {
-        support::MutexLock lock(ingest_mutex_);
-        if (supervisor_.quiesce()) {
-          mark_quiesced_locked();
-        }
-        report = metrics_locked();
-      }
       return send_frame(conn, FrameType::kMetricsReport,
-                        encode_metrics(report));
+                        encode_metrics(metrics()));
     }
 
     case FrameType::kGoodbye:
@@ -411,53 +387,30 @@ bool Server::send_frame(Connection& conn, FrameType type,
   return conn.socket.write_all(encode_frame(type, payload));
 }
 
-void Server::observe_progress_locked() {
-  const stream::SupervisorStats sup = supervisor_.stats();
-  if (sup.restarts != restarts_seen_) {
-    // The new incarnation's processed_live() restarts at zero and re-folds
-    // the journal; carry the floor so the estimate stays monotone.
-    restarts_seen_ = sup.restarts;
-    folded_floor_ = folded_estimate_;
-  }
-  const stream::TrackerManager* manager = supervisor_.manager();
-  if (manager != nullptr) {
-    const std::uint64_t estimate =
-        std::min(accepted_total_, folded_floor_ + manager->processed_live());
-    folded_estimate_ = std::max(folded_estimate_, estimate);
-  }
-  resolve_samples_locked(std::chrono::steady_clock::now());
-}
-
-void Server::mark_quiesced_locked() {
-  // A successful quiesce is the exact barrier: everything accepted so far
-  // has been folded.
-  folded_estimate_ = accepted_total_;
-  resolve_samples_locked(std::chrono::steady_clock::now());
-}
-
-void Server::resolve_samples_locked(
-    std::chrono::steady_clock::time_point now) {
-  while (!pending_samples_.empty() &&
-         pending_samples_.front().accepted_index <= folded_estimate_) {
-    const double micros =
-        std::chrono::duration<double, std::micro>(
-            now - pending_samples_.front().stamped)
-            .count();
-    if (latency_micros_.size() < config_.max_latency_samples) {
-      latency_micros_.push_back(micros);
-    } else if (config_.max_latency_samples > 0) {
-      latency_micros_[latency_ring_pos_] = micros;
-      latency_ring_pos_ =
-          (latency_ring_pos_ + 1) % config_.max_latency_samples;
+MetricsMsg Server::metrics() {
+  support::MutexLock lock(ingest_mutex_);
+  // Counted where the work happened: a quiesced shard has folded every
+  // accepted event, its sessions' counters are checkpointed state (they
+  // survive restarts), and its workers sampled each run at its fold.
+  if (supervisor_.quiesce()) {
+    const stream::TrackerManager* manager = supervisor_.manager();
+    shard_read_.events_processed = 0;
+    for (const std::uint32_t user : supervisor_.users()) {
+      shard_read_.events_processed +=
+          stream::events_taken(manager->session(user).stats());
     }
-    pending_samples_.pop_front();
+    const std::vector<double> latency = manager->ingest_latency_us();
+    shard_read_.ingest_samples = latency.size();
+    shard_read_.ingest_p50_us =
+        latency.empty() ? 0.0 : numeric::percentile(latency, 0.5);
+    shard_read_.ingest_p99_us =
+        latency.empty() ? 0.0 : numeric::percentile(latency, 0.99);
+    shard_read_.ingest_max_us =
+        latency.empty() ? 0.0
+                        : *std::max_element(latency.begin(), latency.end());
   }
-}
-
-MetricsMsg Server::metrics_locked() {
-  MetricsMsg out;
+  MetricsMsg out = shard_read_;
   out.events_accepted = accepted_total_;
-  out.events_processed = folded_estimate_;
   out.events_shed = shed_total_;
   out.events_unknown = unknown_total_;
   out.events_foreign = foreign_total_;
@@ -477,13 +430,6 @@ MetricsMsg Server::metrics_locked() {
       out.wall_seconds > 0.0
           ? static_cast<double>(out.events_processed) / out.wall_seconds
           : 0.0;
-  out.ingest_samples = latency_micros_.size();
-  if (!latency_micros_.empty()) {
-    out.ingest_p50_us = numeric::percentile(latency_micros_, 0.5);
-    out.ingest_p99_us = numeric::percentile(latency_micros_, 0.99);
-    out.ingest_max_us = *std::max_element(latency_micros_.begin(),
-                                          latency_micros_.end());
-  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <string>
@@ -40,13 +39,6 @@ struct ServerConfig {
   /// for another sensing modality. Clients that predate the model byte
   /// implicitly declare flux (0), so a flux server keeps accepting them.
   std::uint8_t model = 0;
-
-  /// Ingest-to-estimate latency sampling: every Nth accepted event is
-  /// stamped on arrival and resolved when the server next observes that
-  /// the event has been folded. 0 disables sampling.
-  std::size_t latency_sample_every = 16;
-  /// Resolved samples kept for the percentile report (oldest dropped).
-  std::size_t max_latency_samples = 65536;
 };
 
 /// The FXN1 tracking service: accepts connections on one endpoint,
@@ -72,6 +64,9 @@ struct ServerConfig {
 /// Queries quiesce: QUERY_ESTIMATE and METRICS drain the shard before
 /// reading, so a client that saw BATCH_ACK{accepted=n} and then queries
 /// observes every one of its n events folded (while the shard is up).
+/// METRICS counts where the work happens: events_processed is the
+/// sessions' own count of events taken, and the ingest-to-estimate
+/// percentiles are the workers' per-run samples (TrackerManager).
 class Server {
  public:
   /// `factory`/`supervisor_config` are handed to the Supervisor verbatim.
@@ -104,7 +99,8 @@ class Server {
   void inject_crash();
 
   /// Current service metrics (also the METRICS frame payload). Quiesces
-  /// the shard when it is up, so events_processed is exact at the cut.
+  /// the shard when it is up and reads events_processed and the ingest
+  /// latencies off it; while it is down, repeats the last such read.
   MetricsMsg metrics();
 
  private:
@@ -115,13 +111,6 @@ class Server {
     /// Thread finished (joinable without blocking); the accept loop reaps
     /// done connections so a long-lived server does not hoard fds.
     std::atomic<bool> done{false};
-  };
-
-  /// One pending ingest-latency sample: the cumulative accepted-event
-  /// count at the stamp, and when it was stamped.
-  struct LatencySample {
-    std::uint64_t accepted_index = 0;
-    std::chrono::steady_clock::time_point stamped;
   };
 
   void accept_loop();
@@ -136,18 +125,6 @@ class Server {
                   const std::string& message);
   bool send_frame(Connection& conn, FrameType type,
                   const std::string& payload);
-
-  // The `_locked` methods require ingest_mutex_ — the requirement is now
-  // compiler-checked (FLUXFP_REQUIRES), not a naming convention.
-  /// Folds freshly observed progress into folded_estimate_ and resolves
-  /// every pending latency sample the progress covers.
-  void observe_progress_locked() FLUXFP_REQUIRES(ingest_mutex_);
-  /// Marks everything accepted so far folded (call after a successful
-  /// quiesce — the exact barrier).
-  void mark_quiesced_locked() FLUXFP_REQUIRES(ingest_mutex_);
-  void resolve_samples_locked(std::chrono::steady_clock::time_point now)
-      FLUXFP_REQUIRES(ingest_mutex_);
-  MetricsMsg metrics_locked() FLUXFP_REQUIRES(ingest_mutex_);
 
   /// The Supervisor demands a single coordinating thread; guarding the
   /// object itself with ingest_mutex_ is how that contract is enforced
@@ -187,19 +164,9 @@ class Server {
   std::uint64_t error_frames_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t connections_opened_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t connections_active_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
-  /// Monotone lower bound on "events folded": advanced by processed_live
-  /// observations while one incarnation runs, snapped exact to
-  /// accepted_total_ at every quiesce barrier. Restart replays make the
-  /// in-between estimate approximate — documented as kScheduling-grade.
-  std::uint64_t folded_estimate_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
-  /// Carried across shard restarts.
-  std::uint64_t folded_floor_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
-  std::uint64_t restarts_seen_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
-  std::deque<LatencySample> pending_samples_
-      FLUXFP_GUARDED_BY(ingest_mutex_);
-  /// Resolved samples, bounded ring.
-  std::vector<double> latency_micros_ FLUXFP_GUARDED_BY(ingest_mutex_);
-  std::size_t latency_ring_pos_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
+  /// events_processed and the ingest_* fields as last read off a quiesced
+  /// shard; the other fields stay zero.
+  MetricsMsg shard_read_ FLUXFP_GUARDED_BY(ingest_mutex_);
 };
 
 }  // namespace fluxfp::netio

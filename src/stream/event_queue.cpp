@@ -43,14 +43,15 @@ EventQueue::EventQueue(std::size_t capacity) : capacity_(capacity) {
 }
 
 bool EventQueue::push(const FluxEvent& event) {
-  if (!push_run(std::span<const FluxEvent>(&event, 1))) {
+  if (!push_run(std::span<const FluxEvent>(&event, 1), Clock::now())) {
     return false;
   }
   wait_for_room();
   return true;
 }
 
-bool EventQueue::push_run(std::span<const FluxEvent> events) {
+bool EventQueue::push_run(std::span<const FluxEvent> events,
+                          Clock::time_point pushed) {
   {
     support::MutexLock lock(mutex_);
     if (closed_) {
@@ -59,6 +60,9 @@ bool EventQueue::push_run(std::span<const FluxEvent> events) {
     items_.insert(items_.end(), events.begin(), events.end());
     stats_.pushed += events.size();
     stats_.max_depth = std::max(stats_.max_depth, items_.size());
+    if (!events.empty()) {
+      runs_.push_back({stats_.pushed, pushed});
+    }
   }
   not_empty_.notify_one();
   // Obs mirror of QueueStats, recorded outside the critical section.
@@ -87,8 +91,9 @@ bool EventQueue::push_marker() {
   return true;
 }
 
-EventQueue::Take EventQueue::take_locked(FluxEvent* out,
-                                         std::size_t max_run) {
+EventQueue::Take EventQueue::take_locked(
+    FluxEvent* out, std::size_t max_run,
+    std::vector<Clock::time_point>* completed) {
   Take take;
   if (!markers_.empty() && markers_.front() == stats_.popped) {
     markers_.pop_front();
@@ -108,6 +113,12 @@ EventQueue::Take EventQueue::take_locked(FluxEvent* out,
   std::copy(items_.begin(), end, out);
   items_.erase(items_.begin(), end);
   stats_.popped += n;
+  while (!runs_.empty() && runs_.front().end <= stats_.popped) {
+    if (completed != nullptr) {
+      completed->push_back(runs_.front().pushed);
+    }
+    runs_.pop_front();
+  }
   take.got = Popped::kEvent;
   take.events = n;
   // Producers wait for the depth to fall below the capacity, so only the
@@ -126,9 +137,11 @@ void EventQueue::after_take(const Take& take) {
   }
 }
 
-EventQueue::Popped EventQueue::pop_run(std::vector<FluxEvent>& out,
-                                       std::size_t max_run) {
+EventQueue::Popped EventQueue::pop_run(
+    std::vector<FluxEvent>& out, std::size_t max_run,
+    std::vector<Clock::time_point>& completed) {
   out.resize(std::max<std::size_t>(max_run, 1));
+  completed.clear();
   Take take;
   {
     support::UniqueLock lock(mutex_);
@@ -136,7 +149,7 @@ EventQueue::Popped EventQueue::pop_run(std::vector<FluxEvent>& out,
       mutex_.assert_held();  // predicate runs under the re-acquired lock
       return closed_ || !items_.empty() || !markers_.empty();
     });
-    take = take_locked(out.data(), max_run);
+    take = take_locked(out.data(), max_run, &completed);
   }
   out.resize(take.events);
   after_take(take);
@@ -147,7 +160,7 @@ EventQueue::Popped EventQueue::try_pop(FluxEvent& out) {
   Take take;
   {
     support::MutexLock lock(mutex_);
-    take = take_locked(&out, 1);
+    take = take_locked(&out, 1, nullptr);
   }
   after_take(take);
   return take.got;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -41,6 +42,10 @@ struct QueueStats {
 /// a worker that pops its marker has folded exactly the events offered
 /// before the cut.
 ///
+/// Every pushed run carries its push time, and the take that dequeues the
+/// run's last event hands that time to the consumer: TrackerManager's
+/// ingest-to-fold latency is one exact sample per run.
+///
 /// Any thread may push; pop is intended for one consumer (more would work,
 /// but per-user event ordering — the determinism anchor — is only
 /// guaranteed with a single consumer per queue).
@@ -53,19 +58,22 @@ class EventQueue {
     kNone,    ///< pop_run: closed and drained; try_pop: nothing queued now
   };
 
+  using Clock = std::chrono::steady_clock;
+
   /// `capacity` >= 1 bounds the backlog. Throws std::invalid_argument on 0.
   explicit EventQueue(std::size_t capacity);
 
-  /// Enqueues `event`, then waits for room: push_run() of one event and
-  /// wait_for_room(). Returns false only when the queue was closed before
-  /// the call (the event is then not queued).
+  /// Enqueues `event`, then waits for room: push_run() of one event stamped
+  /// now, and wait_for_room(). Returns false only when the queue was closed
+  /// before the call (the event is then not queued).
   bool push(const FluxEvent& event);
 
   /// Appends `events` in order, behind everything pushed so far, without
-  /// waiting: the depth may pass the capacity. The producer then waits for
-  /// room with wait_for_room(). Returns false when the queue is closed
-  /// (nothing is appended).
-  bool push_run(std::span<const FluxEvent> events);
+  /// waiting: the depth may pass the capacity. `pushed` is the run's push
+  /// time, handed back by the pop that completes the run. The producer
+  /// then waits for room with wait_for_room(). Returns false when the
+  /// queue is closed (nothing is appended).
+  bool push_run(std::span<const FluxEvent> events, Clock::time_point pushed);
 
   /// Waits until the depth is below the capacity or the queue is closed.
   void wait_for_room();
@@ -77,12 +85,15 @@ class EventQueue {
   /// Dequeues the oldest run into `out` (replacing its contents), waiting
   /// for an event or a marker. A run holds at most `max_run` (>= 1)
   /// events and never reaches past a cut marker: the events queued ahead
-  /// of a marker come out first, then kMarker. Returns kNone when the queue
+  /// of a marker come out first, then kMarker. `completed` receives
+  /// (replacing its contents) the push time of every pushed run whose last
+  /// event this take dequeued, oldest first. Returns kNone when the queue
   /// is closed AND drained — the consumer's termination signal.
-  Popped pop_run(std::vector<FluxEvent>& out, std::size_t max_run);
+  Popped pop_run(std::vector<FluxEvent>& out, std::size_t max_run,
+                 std::vector<Clock::time_point>& completed);
 
   /// Non-blocking pop of the head alone; kNone when currently empty (the
-  /// queue may still be open).
+  /// queue may still be open). Push times are dropped.
   Popped try_pop(FluxEvent& out);
 
   /// Closes the queue: subsequent pushes fail, producers waiting for room
@@ -110,8 +121,10 @@ class EventQueue {
   };
   /// Dequeues under the lock: the marker at the head (kMarker), or up to
   /// `max_run` events, never past a marker, copied to `out` (kEvent);
-  /// kNone when nothing is queued.
-  Take take_locked(FluxEvent* out, std::size_t max_run)
+  /// kNone when nothing is queued. The push times of the runs the take
+  /// completed go to `completed` unless it is null.
+  Take take_locked(FluxEvent* out, std::size_t max_run,
+                   std::vector<Clock::time_point>* completed)
       FLUXFP_REQUIRES(mutex_);
   /// After the lock is released: wakes the producers waiting for room
   /// when the take made some, and counts the popped events.
@@ -121,6 +134,15 @@ class EventQueue {
   /// Queued markers, oldest first, each as the number of events pushed
   /// before it: a marker is at the head once that many have been popped.
   std::deque<std::uint64_t> markers_ FLUXFP_GUARDED_BY(mutex_);
+  /// A pushed run not yet completely popped: the number of events pushed
+  /// up to its end, and its push time.
+  struct Run {
+    std::uint64_t end = 0;
+    Clock::time_point pushed;
+  };
+  /// Runs with an event still queued, oldest first: a run is complete once
+  /// `end` events have been popped.
+  std::deque<Run> runs_ FLUXFP_GUARDED_BY(mutex_);
   QueueStats stats_ FLUXFP_GUARDED_BY(mutex_);
   bool closed_ FLUXFP_GUARDED_BY(mutex_) = false;
 };

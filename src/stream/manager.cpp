@@ -1,6 +1,7 @@
 #include "stream/manager.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "numeric/parallel.hpp"
@@ -167,8 +168,10 @@ RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
     }
     routed_flow_ += admitted;
   }
-  // Each worker's admitted events, in offer order, as one run.
+  // Each worker's admitted events, in offer order, as one run, all
+  // stamped with one clock read.
   const std::size_t workers = queues_.size();
+  const EventQueue::Clock::time_point pushed = EventQueue::Clock::now();
   std::vector<FluxEvent> run;
   run.reserve(events.size());
   for (std::size_t w = 0; w < workers; ++w) {
@@ -181,7 +184,7 @@ RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
     if (run.empty()) {
       continue;
     }
-    if (queues_[w]->push_run(run)) {
+    if (queues_[w]->push_run(run, pushed)) {
       room.add(queues_[w]);
       continue;
     }
@@ -222,8 +225,9 @@ void TrackerManager::worker_loop(std::size_t worker) {
       std::max<std::size_t>(1, config_.queue_capacity / 8);
   std::vector<FluxEvent> run;
   std::vector<std::uint32_t> tenants;  // the run's events' tenants (quota)
+  std::vector<EventQueue::Clock::time_point> completed;  // offered runs' stamps
   for (;;) {
-    const EventQueue::Popped got = queue.pop_run(run, max_run);
+    const EventQueue::Popped got = queue.pop_run(run, max_run, completed);
     if (got == EventQueue::Popped::kNone) {
       break;
     }
@@ -242,15 +246,22 @@ void TrackerManager::worker_loop(std::size_t worker) {
       }
     }
     epochs_fired_live_.fetch_add(fired, std::memory_order_relaxed);
-    processed_live_.fetch_add(run.size(), std::memory_order_relaxed);
+    const EventQueue::Clock::time_point folded =
+        completed.empty() ? EventQueue::Clock::time_point{}
+                          : EventQueue::Clock::now();
     // Flow accounting AFTER the folds: a quiesce() that observes
     // processed == routed therefore also observes every session's state
-    // (the mutex handshake publishes it).
+    // and every latency sample (the mutex handshake publishes them).
     {
       support::MutexLock lock(flow_mutex_);
       processed_flow_ += run.size();
       for (const std::uint32_t tenant : tenants) {
         --tenant_in_flight_.at(tenant);
+      }
+      for (const EventQueue::Clock::time_point pushed : completed) {
+        record_latency_locked(
+            std::chrono::duration<double, std::micro>(folded - pushed)
+                .count());
       }
     }
     flow_cv_.notify_all();
@@ -261,6 +272,20 @@ void TrackerManager::worker_loop(std::size_t worker) {
     epochs_fired_live_.fetch_add(sessions_[i].tracker.flush().size(),
                                  std::memory_order_relaxed);
   }
+}
+
+void TrackerManager::record_latency_locked(double micros) {
+  if (latency_us_.size() < kIngestLatencySamples) {
+    latency_us_.push_back(micros);
+    return;
+  }
+  latency_us_[latency_next_] = micros;
+  latency_next_ = (latency_next_ + 1) % kIngestLatencySamples;
+}
+
+std::vector<double> TrackerManager::ingest_latency_us() const {
+  support::MutexLock lock(flow_mutex_);
+  return latency_us_;
 }
 
 void TrackerManager::capture_cut(std::size_t worker) {

@@ -195,10 +195,15 @@ class TrackerManager {
   std::uint64_t epochs_fired_live() const {
     return epochs_fired_live_.load(std::memory_order_relaxed);
   }
-  /// Events folded so far (relaxed read — the supervisor's heartbeat).
-  std::uint64_t processed_live() const {
-    return processed_live_.load(std::memory_order_relaxed);
-  }
+
+  /// Ingest-to-fold latency samples kept: the newest runs'.
+  static constexpr std::size_t kIngestLatencySamples = 65536;
+  /// Ingest-to-fold latency, in microseconds, of the newest appended runs
+  /// (at most kIngestLatencySamples, in no particular order): one sample
+  /// per run an offer appended to a worker queue, from that offer to the
+  /// fold of the run's last event. A new manager starts with none. After
+  /// quiesce() it covers every run offered so far; any thread may call it.
+  std::vector<double> ingest_latency_us() const;
 
   /// The session's tracker (current estimates, ingestion stats). Valid
   /// after finish(), and after quiesce() while nothing is being offered.
@@ -227,6 +232,8 @@ class TrackerManager {
   /// in-flight slots, or returns false when it has none left. Only called
   /// with a tenant quota set.
   bool admit_locked(std::uint32_t tenant) FLUXFP_REQUIRES(flow_mutex_);
+  /// Keeps one ingest-to-fold sample in the bounded ring.
+  void record_latency_locked(double micros) FLUXFP_REQUIRES(flow_mutex_);
 
   ManagerConfig config_;
   std::vector<Session> sessions_;
@@ -243,18 +250,21 @@ class TrackerManager {
   ManagerStats final_stats_;
   std::atomic<std::uint64_t> unknown_user_{0};       // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
   std::atomic<std::uint64_t> epochs_fired_live_{0};  // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
-  std::atomic<std::uint64_t> processed_live_{0};     // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
 
-  /// Flow accounting: routed/processed totals for quiesce(), and — when a
-  /// tenant quota is configured — per-tenant in-flight counts for
-  /// admission. One mutex guards it all, taken once per offered span and
-  /// once per folded run.
+  /// Flow accounting: routed/processed totals for quiesce(), when a tenant
+  /// quota is configured the per-tenant in-flight counts for admission,
+  /// and the ingest-to-fold latency ring. One mutex guards it all, taken
+  /// once per offered span and once per folded run.
   mutable support::Mutex flow_mutex_;
   std::condition_variable flow_cv_;
   std::uint64_t routed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::uint64_t processed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::unordered_map<std::uint32_t, std::uint64_t> tenant_in_flight_
       FLUXFP_GUARDED_BY(flow_mutex_);
+  /// Ingest-to-fold samples, microseconds; once full, the oldest is
+  /// overwritten at latency_next_.
+  std::vector<double> latency_us_ FLUXFP_GUARDED_BY(flow_mutex_);
+  std::size_t latency_next_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   /// The pending cut (request_cut) and how many workers have yet to
   /// capture their part of it. Its markers count in routed_flow_ and
   /// processed_flow_, so quiesce() waits for them too.

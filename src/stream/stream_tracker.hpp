@@ -67,6 +67,15 @@ struct StreamStats {
   std::uint64_t forced_closes = 0;  ///< closed by max_open_epochs
 };
 
+/// Events a session's on_event() has taken: each bumps exactly one of
+/// `events`, `late` and `unknown_node`. The counters are checkpointed, so
+/// summed over a service's sessions this is the number of accepted events
+/// a quiesced shard has folded, or an image covers, across restarts: the
+/// trace offset a replay of the service's own recording resumes from.
+inline std::uint64_t events_taken(const StreamStats& stats) {
+  return stats.events + stats.late + stats.unknown_node;
+}
+
 /// One open (not yet fired) epoch window in checkpoint form.
 struct WindowState {
   std::uint32_t epoch = 0;

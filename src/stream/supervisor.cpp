@@ -42,7 +42,7 @@ void Supervisor::start() {
   manager_->start();
   // Epoch-zero baseline: a crash before the first supervision boundary
   // must have an image to restore.
-  commit(encode_checkpoint(manager_->checkpoint()), 0, 0, 0);
+  commit(encode_checkpoint(manager_->checkpoint()), 0, 0);
 }
 
 RoomWait Supervisor::offer(std::span<const FluxEvent> events,
@@ -65,19 +65,16 @@ RoomWait Supervisor::offer(std::span<const FluxEvent> events,
     }
     if (vnow_ >= restart_at_) {
       if (!try_restart()) {
-        ++offers_;  // gave up: this and the rest stay kClosed
-        return {};
+        return {};  // gave up: this and the rest stay kClosed
       }
       break;
     }
-    ++offers_;
     status[first_live] = defer(event);
   }
   const std::span<const FluxEvent> live = events.subspan(first_live);
   if (live.empty()) {
     return {};
   }
-  offers_ += live.size();
   for (const FluxEvent& event : live) {
     if (event.time > vnow_) {
       vnow_ = event.time;
@@ -95,23 +92,6 @@ RoomWait Supervisor::offer(std::span<const FluxEvent> events,
   if (accepted == 0) {
     return room;
   }
-  routed_since_manager_ += accepted;
-  // Heartbeat over virtual time: with work pending, the fold counter must
-  // advance before the deadline lapses. Relaxed reads — a heuristic
-  // detector, made exact only at quiesced boundaries.
-  const std::uint64_t processed = manager_->processed_live();
-  if (processed != last_processed_seen_) {
-    last_processed_seen_ = processed;
-    last_progress_vtime_ = vnow_;
-  } else if (config_.heartbeat_deadline > 0.0 &&
-             routed_since_manager_ > processed &&
-             vnow_ - last_progress_vtime_ > config_.heartbeat_deadline) {
-    ++stats_.stalls_detected;
-    FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_stalls_total",
-                                 "Shards declared stalled (heartbeat lapse)");
-    crash_shard();
-    return room;  // journaled; replays at restart
-  }
   // Epoch cadence, triggered off the relaxed live counter; the cut's own
   // epoch total is exact. A due boundary first waits for a pending cut.
   const bool due =
@@ -126,7 +106,7 @@ RoomWait Supervisor::offer(std::span<const FluxEvent> events,
   }
   if (due && !cut_) {
     manager_->request_cut();
-    cut_ = PendingCut{journal_.size(), offers_};
+    cut_ = journal_.size();
     epochs_live_at_cut_ = manager_->epochs_fired_live();
   }
   return room;
@@ -153,7 +133,7 @@ PushStatus Supervisor::defer(const FluxEvent& event) {
 }
 
 bool Supervisor::commit_cut(ManagerCut cut) {
-  const PendingCut at = *cut_;
+  const std::size_t journaled = *cut_;
   cut_.reset();
 #if defined(FLUXFP_OBS_ENABLED)
   if (obs::enabled()) {
@@ -171,13 +151,12 @@ bool Supervisor::commit_cut(ManagerCut cut) {
     crash_shard();
     return false;
   }
-  commit(assemble_checkpoint(cut.records), cut.epochs, at.journaled,
-         at.offers);
+  commit(assemble_checkpoint(cut.records), cut.epochs, journaled);
   return true;
 }
 
 void Supervisor::commit(std::string image, std::uint64_t epochs,
-                        std::size_t journaled, std::uint64_t offers) {
+                        std::size_t journaled) {
   // The durable copy goes first: if it throws, image_ and the journal
   // still describe the previous checkpoint.
   if (!config_.checkpoint_path.empty()) {
@@ -191,7 +170,6 @@ void Supervisor::commit(std::string image, std::uint64_t epochs,
   consecutive_failures_ = 0;
   epochs_at_checkpoint_ = epochs;
   stats_.checkpoint_bytes = image_.size();
-  stats_.offers_covered = offers;
   ++stats_.checkpoints;
   FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_checkpoints_total",
                                "Checkpoints committed");
@@ -250,21 +228,14 @@ bool Supervisor::try_restart() {
   fresh->restore(cp);
   fresh->start();
   manager_ = std::move(fresh);
-  routed_since_manager_ = 0;
-  last_processed_seen_ = 0;
-  last_progress_vtime_ = vnow_;
   epochs_live_at_cut_ = 0;  // the live counter restarted with the shard
   for (const FluxEvent& e : journal_) {
-    PushStatus status = manager_->offer(e);
-    if (status == PushStatus::kShedQuota) {
+    if (manager_->offer(e) == PushStatus::kShedQuota) {
       // The journal holds only admitted events, so none may be shed now.
       // A quiesced shard has every tenant at zero in flight: the retry is
       // admitted.
       manager_->quiesce();
-      status = manager_->offer(e);
-    }
-    if (status == PushStatus::kAccepted) {
-      ++routed_since_manager_;
+      manager_->offer(e);
     }
     ++stats_.replayed_events;
   }
@@ -303,7 +274,7 @@ void Supervisor::finish() {
   // covers every offer, so a pending cut has nothing left to add.
   cut_.reset();
   commit(encode_checkpoint(manager_->checkpoint()), exact_epochs(),
-         journal_.size(), offers_);
+         journal_.size());
   finished_ = true;
 }
 

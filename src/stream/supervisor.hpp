@@ -27,17 +27,6 @@ struct SupervisorConfig {
   /// baseline and the finish() final image are taken).
   std::size_t checkpoint_every_epochs = 32;
 
-  /// Heartbeat: with work pending, the shard must fold at least one event
-  /// every this many virtual seconds, or it is declared stalled and
-  /// restarted. 0 disables the heartbeat. Meaningful for paced (live-rate)
-  /// ingestion, where virtual time tracks arrival time; a max-speed trace
-  /// replay outruns the workers by design, so there the deadline must
-  /// exceed the trace's whole time span (or stay 0). In-process recovery
-  /// assumes the worker can still be joined (queue-level stalls); a
-  /// thread wedged inside a filter step needs process-level supervision,
-  /// which is out of scope here.
-  double heartbeat_deadline = 0.0;
-
   /// Consecutive failed incarnations (no checkpoint committed in between)
   /// tolerated before the supervisor gives up and sheds every session.
   std::size_t max_restarts = 3;
@@ -65,22 +54,18 @@ struct SupervisorStats {
   std::uint64_t checkpoints = 0;       ///< images committed (incl. baseline)
   std::uint64_t restarts = 0;          ///< successful restore+replay cycles
   std::uint64_t crashes_injected = 0;  ///< fault plan + inject_crash()
-  std::uint64_t stalls_detected = 0;   ///< heartbeat lapses
   std::uint64_t replayed_events = 0;   ///< journal events re-offered
   std::uint64_t events_deferred = 0;   ///< journaled while the shard was down
   std::uint64_t sessions_shed = 0;     ///< sessions lost to give-up
   std::uint64_t checkpoint_bytes = 0;  ///< size of the newest image
-  /// Offered events the newest image covers: those offered before its
-  /// cut (all of them for the final image). A caller that replays a
-  /// recorded stream resumes after this many.
-  std::uint64_t offers_covered = 0;
 };
 
 /// Crash-recovery loop over a TrackerManager: periodically checkpoints the
 /// live shard (FLUXFPC1), journals every accepted event since the last
-/// checkpoint, detects crashed/stalled shards, and restarts them from the
-/// last good image — restore, then journal replay — with bounded retries
-/// and exponential backoff in virtual time.
+/// checkpoint, and restarts a crashed shard from the last good image —
+/// restore, then journal replay — with bounded retries and exponential
+/// backoff in virtual time. A checkpoint covers exactly the accepted
+/// events its sessions have taken (events_taken summed over the image).
 ///
 /// A checkpoint never stops the world. At a due boundary offer() asks the
 /// manager for a cut (TrackerManager::request_cut: a marker behind the
@@ -145,8 +130,8 @@ class Supervisor {
   /// cannot lose them. While the shard is down (backoff), events for known
   /// users are deferred — journaled and reported kAccepted — and replayed
   /// at restart; a supervisor that gave up reports kClosed. Then, once per
-  /// span, checks the heartbeat, commits a completed cut and starts a due
-  /// one (see the class comment), so a cut lands between two spans. The
+  /// span, commits a completed cut and starts a due one (see the class
+  /// comment), so a cut lands between two spans. The
   /// returned RoomWait is the backpressure, for the caller to wait on once
   /// it holds no lock; a crash meanwhile releases it. Throws
   /// std::runtime_error when a commit cannot write checkpoint_path; the
@@ -200,13 +185,6 @@ class Supervisor {
   SupervisorStats stats() const { return stats_; }
 
  private:
-  /// The cut in flight: requested after `journaled` journal entries and
-  /// `offers` offered events.
-  struct PendingCut {
-    std::size_t journaled = 0;
-    std::uint64_t offers = 0;
-  };
-
   /// Journals `event` while the shard is down: kAccepted for a known
   /// user, kUnknownUser otherwise.
   PushStatus defer(const FluxEvent& event);
@@ -218,8 +196,7 @@ class Supervisor {
   /// the exact fired-epoch total at the image. A failed file write throws
   /// before anything is committed, so the previous checkpoint stays
   /// authoritative.
-  void commit(std::string image, std::uint64_t epochs, std::size_t journaled,
-              std::uint64_t offers);
+  void commit(std::string image, std::uint64_t epochs, std::size_t journaled);
   /// Kills the live shard and arms the backoff clock (or gives up).
   void crash_shard();
   void give_up();
@@ -237,7 +214,8 @@ class Supervisor {
   std::vector<FluxEvent> journal_;
   std::string image_;  ///< newest FLUXFPC1 bytes
   SupervisorStats stats_;
-  std::optional<PendingCut> cut_;
+  /// The cut in flight, as the journal length when it was requested.
+  std::optional<std::size_t> cut_;
 
   bool started_ = false;
   bool finished_ = false;
@@ -245,10 +223,6 @@ class Supervisor {
   std::size_t consecutive_failures_ = 0;
   double vnow_ = 0.0;        ///< newest event time seen
   double restart_at_ = 0.0;  ///< backoff gate while the shard is down
-  std::uint64_t offers_ = 0;  ///< events offered since start()
-  std::uint64_t routed_since_manager_ = 0;  ///< offers accepted this incarnation
-  std::uint64_t last_processed_seen_ = 0;
-  double last_progress_vtime_ = 0.0;
   std::uint64_t epochs_at_checkpoint_ = 0;  ///< cumulative, exact at the cut
   /// Incarnation-local epochs_fired_live() when the newest cut was
   /// requested — the cadence trigger (the live counter resets with each

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netio/client.hpp"
@@ -317,6 +319,31 @@ TEST(Server, MetricsCountEverything) {
   EXPECT_GT(m.ingest_samples, 0u);
   EXPECT_GE(m.ingest_p99_us, m.ingest_p50_us);
   EXPECT_GE(m.ingest_max_us, m.ingest_p99_us);
+  client.goodbye();
+  server.stop();
+}
+
+TEST(Server, IngestLatencyIsTakenAtTheFoldNotAtTheRead) {
+  // A batch folds in milliseconds; METRICS comes 300 ms later. The sample
+  // must be the batch's own ingest-to-fold time, not the wait for a read.
+  Bed bed;
+  stream::ManagerConfig mc;
+  Server server(bed.factory(2, 1, mc), {},
+                server_config(unix_endpoint("latency")));
+  server.start();
+  const auto events = bed.merged_stream(2, 3, 810);
+  Client client;
+  ASSERT_TRUE(client.connect(server.endpoint(), 0)) << client.last_error();
+  BatchAckMsg ack;
+  ASSERT_TRUE(client.send_batch(events, ack)) << client.last_error();
+  constexpr double kSleepUs = 300'000.0;
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::micro>(kSleepUs));
+  MetricsMsg m;
+  ASSERT_TRUE(client.metrics(m)) << client.last_error();
+  EXPECT_EQ(m.events_processed, events.size());
+  EXPECT_EQ(m.ingest_samples, 1u) << "one run: one worker, one batch";
+  EXPECT_LT(m.ingest_max_us, 0.5 * kSleepUs);
   client.goodbye();
   server.stop();
 }

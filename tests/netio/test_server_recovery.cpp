@@ -153,8 +153,15 @@ TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
   BatchAckMsg ack;
   ASSERT_TRUE(ingest.send_batch(events, ack)) << ingest.last_error();
   ASSERT_EQ(ack.accepted, events.size());
+  const MetricsMsg up = server.metrics();
+  EXPECT_EQ(up.events_processed, events.size());
 
   server.inject_crash();
+  // METRICS cannot read a shard that is down: it repeats its last read.
+  const MetricsMsg down = server.metrics();
+  EXPECT_EQ(down.events_processed, up.events_processed);
+  EXPECT_EQ(down.ingest_samples, up.ingest_samples);
+  EXPECT_EQ(down.ingest_max_us, up.ingest_max_us);
 
   // Queries cannot advance virtual time, so while the shard is down the
   // refusal must be the typed kUnavailable — and because ERROR frames are
@@ -179,6 +186,10 @@ TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
   EstimateMsg healed;
   ASSERT_TRUE(ingest.query_estimate(0, healed)) << ingest.last_error();
   EXPECT_GT(healed.events_folded, 0u);
+  // The restored sessions' own counts cover the replayed journal too.
+  const MetricsMsg after = server.metrics();
+  EXPECT_EQ(after.restarts, 1u);
+  EXPECT_EQ(after.events_processed, events.size() + later.size());
   ingest.goodbye();
   server.stop();
 }

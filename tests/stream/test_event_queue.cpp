@@ -20,6 +20,7 @@ namespace fluxfp::stream {
 namespace {
 
 using Popped = EventQueue::Popped;
+using Clock = EventQueue::Clock;
 
 FluxEvent ev(double time, std::uint32_t node) {
   return {time, 0, 0, node, 1.0};
@@ -28,7 +29,8 @@ FluxEvent ev(double time, std::uint32_t node) {
 /// Waiting pop of one event: pop_run with a run bound of 1.
 Popped pop_one(EventQueue& q, FluxEvent& out) {
   std::vector<FluxEvent> run;
-  const Popped got = q.pop_run(run, 1);
+  std::vector<Clock::time_point> completed;
+  const Popped got = q.pop_run(run, 1, completed);
   if (got == Popped::kEvent) {
     EXPECT_EQ(run.size(), 1u);
     out = run.front();
@@ -208,14 +210,14 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
 TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
   EventQueue q(2);
   const FluxEvent first[] = {{0.0, 5, 0, 10, 1.0}, {1.0, 9, 0, 11, 1.0}};
-  ASSERT_TRUE(q.push_run(first));
+  ASSERT_TRUE(q.push_run(first, {}));
   ASSERT_TRUE(q.push_marker());  // full queue: a marker still never waits
   EXPECT_EQ(q.size(), 2u);       // and is not counted as an event
   FluxEvent out;
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);  // a pop ahead moves it up
   EXPECT_EQ(out.node, 10u);
   const FluxEvent third[] = {{2.0, 5, 1, 12, 1.0}};
-  ASSERT_TRUE(q.push_run(third));
+  ASSERT_TRUE(q.push_run(third, {}));
   ASSERT_TRUE(q.push_marker());
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_EQ(out.node, 11u);
@@ -271,8 +273,8 @@ TEST(EventQueue, RunPushNeverWaitsEvenOnAFullQueue) {
   for (std::uint32_t i = 0; i < 5; ++i) {
     run.push_back(ev(i, i));
   }
-  ASSERT_TRUE(q.push_run(run));  // 5 events into a capacity of 2
-  ASSERT_TRUE(q.push_run(run));  // and 5 more onto the full queue
+  ASSERT_TRUE(q.push_run(run, {}));  // 5 events into a capacity of 2
+  ASSERT_TRUE(q.push_run(run, {}));  // and 5 more onto the full queue
   EXPECT_EQ(q.size(), 10u);
   EXPECT_EQ(q.stats().max_depth, 10u);
   FluxEvent out;
@@ -281,14 +283,14 @@ TEST(EventQueue, RunPushNeverWaitsEvenOnAFullQueue) {
     EXPECT_EQ(out.node, i % 5);  // one run after the other, in order
   }
   q.close();
-  EXPECT_FALSE(q.push_run(run));  // a closed queue takes nothing
+  EXPECT_FALSE(q.push_run(run, {}));  // a closed queue takes nothing
   EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueue, WaitForRoomWaitsForAPopBelowCapacityOrAClose) {
   EventQueue q(2);
   const FluxEvent three[] = {ev(0, 0), ev(1, 1), ev(2, 2)};
-  ASSERT_TRUE(q.push_run(three));  // depth 3 of 2
+  ASSERT_TRUE(q.push_run(three, {}));  // depth 3 of 2
   std::atomic<bool> first_released{false};
   std::atomic<bool> second_armed{false};
   std::atomic<bool> second_released{false};
@@ -320,7 +322,7 @@ TEST(EventQueue, WaitForRoomWaitsForAPopBelowCapacityOrAClose) {
   ASSERT_EQ(q.try_pop(out), Popped::kEvent);
   EXPECT_TRUE(eventually(first_released));  // depth 1: room
 
-  ASSERT_TRUE(q.push_run(three));  // depth 4, and no pop will come
+  ASSERT_TRUE(q.push_run(three, {}));  // depth 4, and no pop will come
   second_armed.store(true);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_released.load());
@@ -337,13 +339,14 @@ TEST(EventQueue, PopRunIsBoundedAndStopsAtAMarker) {
     events.push_back(ev(i, i));
   }
   const std::span<const FluxEvent> all(events);
-  ASSERT_TRUE(q.push_run(all.first(10)));
+  ASSERT_TRUE(q.push_run(all.first(10), {}));
   ASSERT_TRUE(q.push_marker());
-  ASSERT_TRUE(q.push_run(all.subspan(10)));
+  ASSERT_TRUE(q.push_run(all.subspan(10), {}));
   std::vector<FluxEvent> run;
+  std::vector<Clock::time_point> completed;
   std::vector<std::uint32_t> nodes;
   const auto take = [&](std::size_t max_run) {
-    const Popped got = q.pop_run(run, max_run);
+    const Popped got = q.pop_run(run, max_run, completed);
     nodes.clear();
     for (const FluxEvent& e : run) {
       nodes.push_back(e.node);
@@ -365,6 +368,36 @@ TEST(EventQueue, PopRunIsBoundedAndStopsAtAMarker) {
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 15u);
   EXPECT_EQ(s.popped, 15u);
+}
+
+TEST(EventQueue, PopRunHandsEachRunsPushTimeToTheTakeThatEndsIt) {
+  EventQueue q(64);
+  std::vector<FluxEvent> events;
+  for (std::uint32_t i = 0; i < 9; ++i) {
+    events.push_back(ev(i, i));
+  }
+  const std::span<const FluxEvent> all(events);
+  const Clock::time_point t0 = Clock::now();
+  const Clock::time_point t1 = t0 + std::chrono::microseconds(1);
+  const Clock::time_point t2 = t0 + std::chrono::microseconds(2);
+  ASSERT_TRUE(q.push_run(all.first(4), t0));
+  ASSERT_TRUE(q.push_run(all.subspan(4, 2), t1));
+  ASSERT_TRUE(q.push_run(all.subspan(6), t2));
+  ASSERT_TRUE(q.push_marker());
+  std::vector<FluxEvent> run;
+  std::vector<Clock::time_point> completed{t2};  // every take replaces it
+  using Stamps = std::vector<Clock::time_point>;
+  ASSERT_EQ(q.pop_run(run, 3, completed), Popped::kEvent);
+  EXPECT_EQ(run.size(), 3u);
+  EXPECT_EQ(completed, Stamps{});  // the first run still has an event queued
+  ASSERT_EQ(q.pop_run(run, 1, completed), Popped::kEvent);
+  EXPECT_EQ(run.size(), 1u);
+  EXPECT_EQ(completed, Stamps{t0});  // its last event: its stamp, once
+  ASSERT_EQ(q.pop_run(run, 10, completed), Popped::kEvent);
+  EXPECT_EQ(run.size(), 5u);
+  EXPECT_EQ(completed, (Stamps{t1, t2}));  // two whole runs, one stamp each
+  ASSERT_EQ(q.pop_run(run, 10, completed), Popped::kMarker);
+  EXPECT_EQ(completed, Stamps{});
 }
 
 }  // namespace

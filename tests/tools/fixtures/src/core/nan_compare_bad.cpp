@@ -19,4 +19,8 @@ bool broken_raw(double reading) {
   return reading == std::numeric_limits<double>::quiet_NaN();  // line 19
 }
 
+double broken_selector(double reading) {
+  return (reading == kMissingReading) ? 1.0 : 0.0;  // line 23: flagged
+}
+
 }  // namespace fluxfp

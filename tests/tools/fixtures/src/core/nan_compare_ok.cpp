@@ -1,5 +1,6 @@
 // Fixture: the sanctioned ways to handle the sentinel — is_missing() for
-// the test, plain assignment, and one justified suppressed comparison.
+// the test, plain assignment, a comparison that only shares a line with
+// it, and one justified suppressed comparison.
 #include <cmath>
 #include <limits>
 
@@ -17,6 +18,16 @@ double clean(double reading) {
   double out = kMissingReading;  // assignment is fine
   out = reading;
   return out;
+}
+
+double select(int r, double x) {
+  return r == 0 ? kMissingReading : x;  // the sentinel is not an operand
+}
+
+double f(bool same, double fallback) { return same ? 0.0 : fallback; }
+
+double argument(double a, double b) {
+  return f(a == b, kMissingReading);  // nor here: a separate argument
 }
 
 bool suppressed(double reading) {

@@ -8,12 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
+
+#include "stream/checkpoint.hpp"
+#include "stream/stream_tracker.hpp"
 
 #if !defined(STREAM_DAEMON_BIN) || !defined(LOADGEN_BIN)
 #error "STREAM_DAEMON_BIN and LOADGEN_BIN must be defined by the build"
@@ -57,6 +66,21 @@ std::string read_file(const std::string& path) {
 
 RunResult run_daemon(const std::string& args) {
   return run(STREAM_DAEMON_BIN, args);
+}
+
+/// The trace events the FLUXFPC1 image at `path` covers: its sessions'
+/// events_taken sum, which `local --restore` skips. 0 while no image
+/// decodes.
+std::uint64_t image_events(const std::string& path) {
+  fluxfp::stream::ManagerCheckpoint cp;
+  if (fluxfp::stream::read_checkpoint_file(path, cp)) {
+    return 0;
+  }
+  std::uint64_t events = 0;
+  for (const fluxfp::stream::SessionCheckpoint& sc : cp.sessions) {
+    events += fluxfp::stream::events_taken(sc.state.stats);
+  }
+  return events;
 }
 
 void expect_usage_error(const std::string& args, const std::string& needle,
@@ -149,7 +173,7 @@ TEST(StreamDaemonCli, RestoreFromAnotherDeploymentExitsOne) {
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("restore " + ckpt + ": "), std::string::npos)
       << res.output;
-  for (const std::string& path : {trace, ckpt, ckpt + ".pos"}) {
+  for (const std::string& path : {trace, ckpt}) {
     std::remove(path.c_str());
   }
 }
@@ -169,38 +193,52 @@ TEST(StreamDaemonCli, UnwritableCheckpointPathExitsOne) {
 }
 
 TEST(StreamDaemonCli, KilledAndRestoredRunEndsWithTheUninterruptedImage) {
-  // kill -9 a paced run once its first periodic commit has written
-  // PATH.pos, resume it with --restore, and the final image must be the
-  // uninterrupted run's, byte for byte: PATH.pos must name exactly the
-  // trace prefix the image holds, although a commit lands after its cut.
+  // kill -9 a paced run once its first periodic commit is on disk, resume
+  // it with --restore, and the final image must be the uninterrupted
+  // run's, byte for byte: the image's own count of events taken must be
+  // exactly the trace prefix it holds, although a commit lands after its
+  // cut.
   const std::string dir = ::testing::TempDir();
   const std::string trace = dir + "fxn_cli_kill.trace";
   const std::string killed = dir + "fxn_cli_kill.ckpt";
   const std::string whole = dir + "fxn_cli_whole.ckpt";
-  for (const std::string& path :
-       {trace, killed, killed + ".pos", whole, whole + ".pos"}) {
+  const std::array<std::string, 5> files = {trace, killed, killed + ".tmp",
+                                            whole, whole + ".tmp"};
+  for (const std::string& path : files) {
     std::remove(path.c_str());
   }
   const std::string common = std::string(STREAM_DAEMON_BIN) +
                              " local --sessions 4 --rounds 40 --workers 2"
                              " --seed 5 --trace " +
                              trace;
-  const RunResult paced = run_shell(
-      common + " --speed 20 --checkpoint " + killed +
-      " > /dev/null 2>&1 & pid=$!; n=0;"
-      " while [ ! -s " + killed + ".pos ] && [ $n -lt 3000 ]; do"
-      " sleep 0.01; n=$((n + 1)); done;"
-      " kill -KILL $pid; wait $pid; echo \"exit=$?\"");
-  ASSERT_NE(paced.output.find("exit=137"), std::string::npos)
-      << "the paced run was not killed mid-stream: " << paced.output;
-  std::uint64_t covered = 0;
-  ASSERT_TRUE(static_cast<bool>(std::ifstream(killed + ".pos") >> covered));
+  // The paced run is this process's child, so it is killed and reaped
+  // here. The epoch-zero baseline image covers no event; the first
+  // periodic commit covers some.
+  const std::string paced =
+      "exec " + common + " --speed 20 --checkpoint " + killed +
+      " > /dev/null 2>&1";
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    execl("/bin/sh", "sh", "-c", paced.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  for (int n = 0; n < 3000 && image_events(killed) == 0; ++n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  kill(pid, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the paced run was not killed mid-stream (wait status " << status
+      << ")";
+  const std::uint64_t covered = image_events(killed);
   EXPECT_GT(covered, 0u);
 
   const RunResult resumed = run_shell(common + " --checkpoint " + killed +
                                       " --restore " + killed + " 2>&1");
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
-  EXPECT_NE(resumed.output.find("skipping " + std::to_string(covered)),
+  EXPECT_NE(resumed.output.find("skipping " + std::to_string(covered) + " "),
             std::string::npos)
       << resumed.output;
   const RunResult uninterrupted =
@@ -211,8 +249,7 @@ TEST(StreamDaemonCli, KilledAndRestoredRunEndsWithTheUninterruptedImage) {
   ASSERT_FALSE(want.empty());
   EXPECT_TRUE(read_file(killed) == want)
       << "killed + restored final image differs from the uninterrupted one";
-  for (const std::string& path :
-       {trace, killed, killed + ".pos", whole, whole + ".pos"}) {
+  for (const std::string& path : files) {
     std::remove(path.c_str());
   }
 }

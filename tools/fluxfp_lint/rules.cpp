@@ -165,30 +165,71 @@ struct Reporter {
 // Rules
 // ---------------------------------------------------------------------------
 
+/// Whether `t` ends a comparison's operand outside parentheses: the
+/// conditional, comma, statement and logical operators and braces all
+/// bind looser than == and !=.
+bool ends_operand(const Token& t) {
+  for (const char* text : {"?", ":", ",", ";", "&&", "||", "{", "}"}) {
+    if (is_punct(t, text)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The NaN sentinel inside one operand of the comparison at `op` — the
+/// left one for `step` -1, the right one for +1 — or nullptr. The operand
+/// runs to the first token that ends it outside parentheses, to an
+/// unmatched parenthesis, or to the end of the line.
+const Token* sentinel_in_operand(const std::vector<Token>& toks,
+                                 std::size_t op, std::ptrdiff_t step) {
+  const char* open = step > 0 ? "(" : ")";
+  const char* close = step > 0 ? ")" : "(";
+  int depth = 0;
+  for (auto j = static_cast<std::ptrdiff_t>(op) + step;
+       j >= 0 && j < static_cast<std::ptrdiff_t>(toks.size()); j += step) {
+    const Token& t = toks[static_cast<std::size_t>(j)];
+    if (t.line != toks[op].line) {
+      break;
+    }
+    if (is_punct(t, open)) {
+      ++depth;
+    } else if (is_punct(t, close)) {
+      if (depth == 0) {
+        break;
+      }
+      --depth;
+    } else if (depth == 0 && ends_operand(t)) {
+      break;
+    } else if (is_nan_sentinel(t)) {
+      return &t;
+    }
+  }
+  return nullptr;
+}
+
 /// no-nan-compare: kMissingReading is a NaN — `x == kMissingReading` is
 /// always false and silently breaks the missing-reading protocol. Require
-/// net::is_missing().
+/// net::is_missing(). Only the comparison's own operands are searched, so
+/// a sentinel elsewhere on the line (`r == 0 ? kMissingReading : x`) is
+/// not reported.
 void rule_no_nan_compare(const LexedFile& f, Reporter& r) {
   const auto& toks = f.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (!is_punct(toks[i], "==") && !is_punct(toks[i], "!=")) {
       continue;
     }
-    // Asymmetric window: `== std::numeric_limits<double>::quiet_NaN()` puts
-    // the sentinel 8 tokens to the right of the operator.
-    const std::size_t lo = i >= 6 ? i - 6 : 0;
-    const std::size_t hi = std::min(toks.size(), i + 11);
-    for (std::size_t j = lo; j < hi; ++j) {
-      if (j != i && toks[j].line == toks[i].line && is_nan_sentinel(toks[j])) {
-        r.report(toks[i].line, "no-nan-compare",
-                 "'" + toks[i].text + "' against NaN sentinel '" +
-                     toks[j].text +
-                     "' is always " +
-                     (toks[i].text == "==" ? std::string("false")
-                                           : std::string("true")) +
-                     "; use net::is_missing()");
-        break;
-      }
+    const Token* sentinel = sentinel_in_operand(toks, i, -1);
+    if (sentinel == nullptr) {
+      sentinel = sentinel_in_operand(toks, i, +1);
+    }
+    if (sentinel != nullptr) {
+      r.report(toks[i].line, "no-nan-compare",
+               "'" + toks[i].text + "' against NaN sentinel '" +
+                   sentinel->text + "' is always " +
+                   (toks[i].text == "==" ? std::string("false")
+                                         : std::string("true")) +
+                   "; use net::is_missing()");
     }
   }
 }

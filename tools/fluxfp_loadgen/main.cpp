@@ -13,12 +13,16 @@
 // All connections pace against the SAME stream epoch clock (the global
 // first event's timestamp), so the offered interleaving across connections
 // tracks the recorded one at any speedup. After the replay, one control
-// connection fetches METRICS — the server quiesces first, so
-// events_processed and the ingest-to-estimate percentiles are exact.
+// connection fetches METRICS. The server quiesces first, then counts where
+// the work happened: events_processed is its sessions' own count of
+// events taken (folded, late or from an unknown node), and each
+// ingest-to-estimate sample is one run a batch appended to a worker
+// queue, timed from that append to the fold of the run's last event.
 //
 // --check turns the report into a gate: nonzero processed events, zero
 // error frames, and processed == accepted (a tenant quota sheds before
-// acceptance, never after), or exit 1.
+// acceptance, never after, so a fold the workers skip fails it), or
+// exit 1.
 
 #include <algorithm>
 #include <cctype>
@@ -308,7 +312,7 @@ int main(int argc, char** argv) {
               wall > 0.0 ? static_cast<double>(sent_total) / wall : 0.0);
 
   // The control connection quiesces the server, so the processed count and
-  // latency percentiles below cover everything accepted above.
+  // latency samples below cover every batch accepted above.
   netio::Client control;
   netio::MetricsMsg m;
   const std::uint64_t control_token =
