@@ -398,7 +398,11 @@ std::uint64_t run_stream_epochs(std::size_t workers) {
     manager.offer(e);
   }
   manager.finish();
-  return manager.stats().epochs_fired;
+  std::uint64_t epochs = 0;
+  for (std::uint32_t u = 0; u < kStreamSessions; ++u) {
+    epochs += manager.session(u).stats().epochs_fired;
+  }
+  return epochs;
 }
 
 // 1/2/4/8 workers. The parallelism axis is sessions — per-session results

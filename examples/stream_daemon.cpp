@@ -375,16 +375,16 @@ int run_local(int argc, char** argv, int first) {
                stderr);
     return 1;
   }
-  const stream::ManagerStats stats = manager->stats();
   const stream::SupervisorStats sstats = supervisor.stats();
+  // Every offered event is accepted and folded (no quota, and the trace
+  // holds only this deployment's sessions).
   std::printf("\nreplayed %llu events at %s over %zu workers in %.3fs "
               "(%.0f events/s)\n",
               static_cast<unsigned long long>(offered),
               speed <= 0.0 ? "max speed" : "paced speed", manager->workers(),
               replay_seconds,
               replay_seconds > 0.0
-                  ? static_cast<double>(stats.events_processed) /
-                        replay_seconds
+                  ? static_cast<double>(offered) / replay_seconds
                   : 0.0);
   if (pacer && pacer->max_behind_seconds() > 0.0) {
     std::printf("pacing: worst lag behind schedule %.1f ms\n",
@@ -395,8 +395,14 @@ int run_local(int argc, char** argv, int first) {
               static_cast<unsigned long long>(sstats.checkpoint_bytes),
               checkpoint_path.empty() ? "" : ", persisted to ",
               checkpoint_path.c_str());
+  std::uint64_t epochs = 0;
+  for (std::size_t s = 0; s < sessions; ++s) {
+    epochs += manager->session(static_cast<std::uint32_t>(s))
+                  .stats()
+                  .epochs_fired;
+  }
   std::printf("epochs fired: %llu (filter latency histogram: --metrics)\n",
-              static_cast<unsigned long long>(stats.epochs_fired));
+              static_cast<unsigned long long>(epochs));
 
   // final-err: the session's final estimate (what QUERY_ESTIMATE serves)
   // against its true position at the last epoch it fired.

@@ -258,7 +258,6 @@ bool Server::handle_frame(Connection& conn, bool& authed,
               break;
             case PushStatus::kClosed:
               ++ack.closed;
-              ++closed_total_;
               break;
           }
         }
@@ -314,7 +313,7 @@ bool Server::handle_frame(Connection& conn, bool& authed,
       }
       if (!shard_up) {
         return send_error(conn, ErrorCode::kUnavailable, 0,
-                          "shard down (crash-restore in progress)");
+                          "shard down (the supervisor gave up)");
       }
       return send_frame(conn, FrameType::kEstimate,
                         encode_estimate(estimate));

@@ -44,9 +44,9 @@ struct ServerConfig {
 /// The FXN1 tracking service: accepts connections on one endpoint,
 /// authenticates tenants, and feeds EVENT_BATCH frames through a
 /// stream::Supervisor into the TrackerManager — so a crashing shard
-/// checkpoint-restores under the connections without dropping them
-/// (batches offered while the shard is down are journaled and acknowledged
-/// kAccepted, exactly the Supervisor deferral contract).
+/// checkpoint-restores under the connections without dropping them: the
+/// restart runs at the crash, under the ingest lock, and the next frame
+/// finds the shard up. Only a supervisor that gave up leaves it down.
 ///
 /// Threading: one accept-loop thread plus one thread per connection (the
 /// sanctioned raw-thread layout; no poll/epoll). The Supervisor demands a
@@ -63,10 +63,11 @@ struct ServerConfig {
 ///
 /// Queries quiesce: QUERY_ESTIMATE and METRICS drain the shard before
 /// reading, so a client that saw BATCH_ACK{accepted=n} and then queries
-/// observes every one of its n events folded (while the shard is up).
-/// METRICS counts where the work happens: events_processed is the
-/// sessions' own count of events taken, and the ingest-to-estimate
-/// percentiles are the workers' per-run samples (TrackerManager).
+/// observes every one of its n events folded. METRICS counts where the
+/// work happens: events_processed is the sessions' own count of events
+/// taken, and the ingest-to-estimate percentiles are the workers' per-run
+/// samples (TrackerManager). After give-up QUERY_ESTIMATE is refused with
+/// kUnavailable and METRICS repeats its last read of the shard.
 class Server {
  public:
   /// `factory`/`supervisor_config` are handed to the Supervisor verbatim.
@@ -94,13 +95,13 @@ class Server {
   const Endpoint& endpoint() const { return endpoint_; }
 
   /// Test / fault hook: kill the live shard now (Supervisor::inject_crash
-  /// under the ingest lock). Accepted history is checkpoint+journal
-  /// protected; connections stay up.
+  /// under the ingest lock), which restores it before returning. Accepted
+  /// history is checkpoint+journal protected; connections stay up.
   void inject_crash();
 
   /// Current service metrics (also the METRICS frame payload). Quiesces
-  /// the shard when it is up and reads events_processed and the ingest
-  /// latencies off it; while it is down, repeats the last such read.
+  /// the shard and reads events_processed and the ingest latencies off
+  /// it; after give-up, repeats the last such read.
   MetricsMsg metrics();
 
  private:
@@ -158,14 +159,14 @@ class Server {
   std::uint64_t shed_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t unknown_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t foreign_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
-  std::uint64_t closed_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t batches_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t frames_in_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t error_frames_total_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t connections_opened_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   std::uint64_t connections_active_ FLUXFP_GUARDED_BY(ingest_mutex_) = 0;
   /// events_processed and the ingest_* fields as last read off a quiesced
-  /// shard; the other fields stay zero.
+  /// shard, repeated once the supervisor gave up; the other fields stay
+  /// zero.
   MetricsMsg shard_read_ FLUXFP_GUARDED_BY(ingest_mutex_);
 };
 

@@ -198,7 +198,7 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kNotAuthenticated:
       return "not authenticated";
     case ErrorCode::kUnavailable:
-      return "temporarily unavailable";
+      return "unavailable";
     case ErrorCode::kUnknownUser:
       return "unknown user";
     case ErrorCode::kServiceClosing:

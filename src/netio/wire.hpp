@@ -67,7 +67,7 @@ enum class ErrorCode : std::uint32_t {
   kUnsupportedVersion = 2,  ///< HELLO version this server does not speak
   kAuthFailed = 3,          ///< unknown tenant or wrong token
   kNotAuthenticated = 4,    ///< first frame was not HELLO
-  kUnavailable = 5,         ///< shard down (crash-restore in progress)
+  kUnavailable = 5,         ///< shard down (the supervisor gave up)
   kUnknownUser = 6,         ///< QUERY_ESTIMATE for an unregistered session
   kServiceClosing = 7,      ///< server is draining; retry elsewhere
   kInternal = 8,            ///< server-side failure, connection unusable

@@ -207,16 +207,4 @@ std::vector<stream::FluxEvent> apply_event_faults(
   return out;
 }
 
-bool ShardCrashPlan::should_crash(std::uint64_t epochs_fired,
-                                  std::uint64_t crashes_so_far) const {
-  if (crash_every_epochs == 0) {
-    return false;
-  }
-  if (max_crashes != 0 && crashes_so_far >= max_crashes) {
-    return false;
-  }
-  return epochs_fired >= static_cast<std::uint64_t>(crash_every_epochs) *
-                             (crashes_so_far + 1);
-}
-
 }  // namespace fluxfp::sim

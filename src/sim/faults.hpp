@@ -157,22 +157,4 @@ struct EventFaultPlan {
 std::vector<stream::FluxEvent> apply_event_faults(
     std::span<const stream::FluxEvent> events, const EventFaultPlan& plan);
 
-/// Process-level fault for the supervised streaming runtime (see
-/// stream/supervisor.hpp): the tracking shard is killed — every piece of
-/// in-memory state since the last checkpoint lost — on a schedule over
-/// *virtual progress* (total fired epochs), never wall clock, so a
-/// fault-injected run replays identically at any speed or worker layout.
-struct ShardCrashPlan {
-  /// Kill the shard each time total fired epochs reach the next multiple
-  /// of this. 0 disables crash injection.
-  std::uint32_t crash_every_epochs = 0;
-  /// Cap on injected crashes; 0 = unlimited.
-  std::uint32_t max_crashes = 0;
-
-  /// True when, after `crashes_so_far` kills, `epochs_fired` has reached
-  /// the next scheduled kill point.
-  bool should_crash(std::uint64_t epochs_fired,
-                    std::uint64_t crashes_so_far) const;
-};
-
 }  // namespace fluxfp::sim

@@ -145,7 +145,6 @@ RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
     }
   }
   if (unknown > 0) {
-    unknown_user_.fetch_add(unknown, std::memory_order_relaxed);
     FLUXFP_OBS_COUNTER_ADD("fluxfp_stream_unknown_user_total",
                            "Pushes for sessions never registered", unknown);
   }
@@ -437,11 +436,6 @@ void TrackerManager::finish() {
     t.join();
   }
   finished_.store(true, std::memory_order_relaxed);
-  for (const auto& q : queues_) {
-    const QueueStats qs = q->stats();
-    final_stats_.events_routed += qs.pushed;
-    final_stats_.events_processed += qs.popped;
-  }
 #if defined(FLUXFP_OBS_ENABLED)
   if (obs::enabled()) {
     for (std::size_t w = 0; w < queues_.size(); ++w) {
@@ -454,10 +448,6 @@ void TrackerManager::finish() {
     }
   }
 #endif
-  final_stats_.unknown_user = unknown_user_.load(std::memory_order_relaxed);
-  for (const Session& s : sessions_) {
-    final_stats_.epochs_fired += s.tracker.stats().epochs_fired;
-  }
 }
 
 std::vector<std::uint32_t> TrackerManager::users() const {
@@ -486,7 +476,5 @@ const SessionOptions& TrackerManager::session_options(
     std::uint32_t user) const {
   return find_session(user).options;
 }
-
-ManagerStats TrackerManager::stats() const { return final_stats_; }
 
 }  // namespace fluxfp::stream

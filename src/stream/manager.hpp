@@ -21,7 +21,7 @@ namespace fluxfp::stream {
 /// Admission outcome of one offer()ed event.
 enum class PushStatus {
   kAccepted,     ///< routed to the session's worker queue
-  kUnknownUser,  ///< no such session registered (counted)
+  kUnknownUser,  ///< no such session registered
   /// The session's tenant already had tenant_quota events in flight, so
   /// this, its newest event, was shed. An accepted event is never shed
   /// afterwards.
@@ -63,14 +63,6 @@ struct ManagerConfig {
 struct ManagerCut {
   std::vector<std::string> records;
   std::uint64_t epochs = 0;
-};
-
-/// Service-level counters, valid after finish().
-struct ManagerStats {
-  std::uint64_t events_routed = 0;     ///< accepted by offer()
-  std::uint64_t events_processed = 0;  ///< popped and folded by workers
-  std::uint64_t unknown_user = 0;      ///< offers for unregistered sessions
-  std::uint64_t epochs_fired = 0;
 };
 
 /// Shards many concurrent tracking sessions across worker threads: each
@@ -177,10 +169,9 @@ class TrackerManager {
   /// std::logic_error after start().
   void restore(const ManagerCheckpoint& cp);
 
-  /// Closes the ingest queues, wakes any producer waiting for room,
+  /// Closes the ingest queues, wakes any producer waiting for room, and
   /// drains and joins every worker (each worker flushes its sessions' open
-  /// windows), and freezes the stats. Safe to call once; offer() fails
-  /// afterwards.
+  /// windows). Safe to call once; offer() fails afterwards.
   void finish();
 
   bool started() const { return started_.load(std::memory_order_relaxed); }
@@ -205,16 +196,15 @@ class TrackerManager {
   /// quiesce() it covers every run offered so far; any thread may call it.
   std::vector<double> ingest_latency_us() const;
 
-  /// The session's tracker (current estimates, ingestion stats). Valid
-  /// after finish(), and after quiesce() while nothing is being offered.
-  /// Throws std::invalid_argument on an unknown user.
+  /// The session's tracker: its current estimates and its ingestion
+  /// counters, the service's only per-event counts (summed over the
+  /// sessions, events_taken() is the accepted events folded). Valid after
+  /// finish(), and after quiesce() while nothing is being offered. Throws
+  /// std::invalid_argument on an unknown user.
   const StreamTracker& session(std::uint32_t user) const;
   /// The session's admission attributes. Throws std::invalid_argument on
   /// an unknown user.
   const SessionOptions& session_options(std::uint32_t user) const;
-
-  /// Aggregated counters; meaningful after finish().
-  ManagerStats stats() const;
 
  private:
   struct Session {
@@ -247,8 +237,6 @@ class TrackerManager {
   /// paths, where a stale read degrades to kClosed, never to a race.
   std::atomic<bool> started_{false};   // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is thread creation, not this flag
   std::atomic<bool> finished_{false};  // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is the close/join handshake
-  ManagerStats final_stats_;
-  std::atomic<std::uint64_t> unknown_user_{0};       // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
   std::atomic<std::uint64_t> epochs_fired_live_{0};  // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
 
   /// Flow accounting: routed/processed totals for quiesce(), when a tenant

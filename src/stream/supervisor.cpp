@@ -1,7 +1,6 @@
 #include "stream/supervisor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -18,10 +17,6 @@ Supervisor::Supervisor(ManagerFactory factory, SupervisorConfig config)
     : factory_(std::move(factory)), config_(std::move(config)) {
   if (!factory_) {
     throw std::invalid_argument("Supervisor: null manager factory");
-  }
-  if (config_.backoff_base < 0.0 || config_.backoff_factor < 1.0) {
-    throw std::invalid_argument(
-        "Supervisor: backoff_base must be >= 0 and backoff_factor >= 1");
   }
 }
 
@@ -55,37 +50,11 @@ RoomWait Supervisor::offer(std::span<const FluxEvent> events,
   if (!started_ || finished_ || failed_) {
     return {};
   }
-  // While the shard is down, event by event: defer until the backoff
-  // lapses at an event's time, then restart and offer the rest live.
-  std::size_t first_live = 0;
-  for (; first_live < events.size() && !manager_; ++first_live) {
-    const FluxEvent& event = events[first_live];
-    if (event.time > vnow_) {
-      vnow_ = event.time;
-    }
-    if (vnow_ >= restart_at_) {
-      if (!try_restart()) {
-        return {};  // gave up: this and the rest stay kClosed
-      }
-      break;
-    }
-    status[first_live] = defer(event);
-  }
-  const std::span<const FluxEvent> live = events.subspan(first_live);
-  if (live.empty()) {
-    return {};
-  }
-  for (const FluxEvent& event : live) {
-    if (event.time > vnow_) {
-      vnow_ = event.time;
-    }
-  }
-  const std::span<PushStatus> live_status = status.subspan(first_live);
-  RoomWait room = manager_->offer(live, live_status);
+  RoomWait room = manager_->offer(events, status);
   std::uint64_t accepted = 0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (live_status[i] == PushStatus::kAccepted) {
-      journal_.push_back(live[i]);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (status[i] == PushStatus::kAccepted) {
+      journal_.push_back(events[i]);
       ++accepted;
     }
   }
@@ -99,9 +68,8 @@ RoomWait Supervisor::offer(std::span<const FluxEvent> events,
       manager_->epochs_fired_live() - epochs_live_at_cut_ >=
           config_.checkpoint_every_epochs;
   if (cut_) {
-    std::optional<ManagerCut> cut = manager_->take_cut(due);
-    if (cut && !commit_cut(std::move(*cut))) {
-      return room;  // killed by the fault plan; replays
+    if (std::optional<ManagerCut> cut = manager_->take_cut(due)) {
+      commit_cut(std::move(*cut));
     }
   }
   if (due && !cut_) {
@@ -120,19 +88,7 @@ PushStatus Supervisor::offer(const FluxEvent& event) {
   return status;
 }
 
-PushStatus Supervisor::defer(const FluxEvent& event) {
-  // Down for backoff: the journal is the durable record, so the event is
-  // admitted, not lost — it replays at restart. Only the session set is
-  // checkable while the shard is down.
-  if (std::find(users_.begin(), users_.end(), event.user) == users_.end()) {
-    return PushStatus::kUnknownUser;
-  }
-  journal_.push_back(event);
-  ++stats_.events_deferred;
-  return PushStatus::kAccepted;
-}
-
-bool Supervisor::commit_cut(ManagerCut cut) {
+void Supervisor::commit_cut(ManagerCut cut) {
   const std::size_t journaled = *cut_;
   cut_.reset();
 #if defined(FLUXFP_OBS_ENABLED)
@@ -144,15 +100,7 @@ bool Supervisor::commit_cut(ManagerCut cut) {
         .set(static_cast<double>(cut.epochs - epochs_at_checkpoint_));
   }
 #endif
-  if (config_.fault.should_crash(cut.epochs, stats_.crashes_injected)) {
-    ++stats_.crashes_injected;
-    FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_crashes_injected_total",
-                                 "Shard kills injected by the fault plan");
-    crash_shard();
-    return false;
-  }
   commit(assemble_checkpoint(cut.records), cut.epochs, journaled);
-  return true;
 }
 
 void Supervisor::commit(std::string image, std::uint64_t epochs,
@@ -184,41 +132,60 @@ void Supervisor::commit(std::string image, std::uint64_t epochs,
 #endif
 }
 
-void Supervisor::crash_shard() {
+bool Supervisor::quiesce() {
+  if (!started_ || finished_ || failed_) {
+    return false;
+  }
+  manager_->quiesce();
+  return true;
+}
+
+void Supervisor::finish() {
+  if (!started_ || finished_) {
+    return;
+  }
+  if (failed_) {
+    // Nothing left to drain: the run ends at the last committed checkpoint.
+    finished_ = true;
+    return;
+  }
+  manager_->finish();
+  // Final post-flush image: open windows have fired, so this is the
+  // durable shutdown snapshot (what a daemon persists on SIGTERM). It
+  // covers every offer, so a pending cut has nothing left to add.
+  cut_.reset();
+  commit(encode_checkpoint(manager_->checkpoint()), exact_epochs(),
+         journal_.size());
+  finished_ = true;
+}
+
+void Supervisor::inject_crash() {
+  if (!started_ || finished_ || failed_) {
+    return;
+  }
+  ++stats_.crashes_injected;
+  FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_crashes_injected_total",
+                               "Shard kills injected by inject_crash()");
   // The incarnation dies taking all uncommitted state with it, a pending
   // cut included; the image and the journal are the durable record.
   // (Destruction joins the workers — simulating the kill, not surviving
   // it.)
   manager_.reset();
   cut_.reset();
+  // A restart waits for nothing outside this process, so it follows at
+  // once — unless the restart budget is spent, or the in-memory image
+  // cannot decode and there is nothing sound to restart from.
   ++consecutive_failures_;
-  if (consecutive_failures_ > config_.max_restarts) {
-    give_up();
-    return;
-  }
-  const double backoff =
-      config_.backoff_base *
-      std::pow(config_.backoff_factor,
-               static_cast<double>(consecutive_failures_ - 1));
-  restart_at_ = vnow_ + backoff;
-}
-
-void Supervisor::give_up() {
-  failed_ = true;
-  stats_.sessions_shed += users_.size();
-  FLUXFP_OBS_COUNTER_ADD_SCHED(
-      "fluxfp_supervisor_sessions_shed_total",
-      "Sessions lost because the supervisor exhausted its restart budget",
-      users_.size());
-}
-
-bool Supervisor::try_restart() {
   ManagerCheckpoint cp;
   std::istringstream is(image_);
-  if (read_checkpoint(is, cp)) {
-    // The in-memory image cannot decode — nothing sound to restart from.
-    give_up();
-    return false;
+  if (consecutive_failures_ > kMaxRestarts || read_checkpoint(is, cp)) {
+    failed_ = true;
+    stats_.sessions_shed += users_.size();
+    FLUXFP_OBS_COUNTER_ADD_SCHED(
+        "fluxfp_supervisor_sessions_shed_total",
+        "Sessions lost because the supervisor exhausted its restart budget",
+        users_.size());
+    return;
   }
   std::unique_ptr<TrackerManager> fresh = factory_();
   if (!fresh || fresh->started() || fresh->users() != users_) {
@@ -243,49 +210,6 @@ bool Supervisor::try_restart() {
   FLUXFP_OBS_COUNTER_INC_SCHED(
       "fluxfp_supervisor_restarts_total",
       "Shard restarts from the last good checkpoint (restore + replay)");
-  return true;
-}
-
-bool Supervisor::quiesce() {
-  if (!started_ || finished_ || failed_ || !manager_) {
-    return false;
-  }
-  manager_->quiesce();
-  return true;
-}
-
-void Supervisor::finish() {
-  if (!started_ || finished_) {
-    return;
-  }
-  if (failed_) {
-    finished_ = true;
-    return;
-  }
-  if (!manager_ && !try_restart()) {
-    // The final drain ignores the backoff clock; an unrecoverable image
-    // ends the run at the last committed checkpoint.
-    finished_ = true;
-    return;
-  }
-  manager_->finish();
-  // Final post-flush image: open windows have fired, so this is the
-  // durable shutdown snapshot (what a daemon persists on SIGTERM). It
-  // covers every offer, so a pending cut has nothing left to add.
-  cut_.reset();
-  commit(encode_checkpoint(manager_->checkpoint()), exact_epochs(),
-         journal_.size());
-  finished_ = true;
-}
-
-void Supervisor::inject_crash() {
-  if (!started_ || finished_ || failed_ || !manager_) {
-    return;
-  }
-  ++stats_.crashes_injected;
-  FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_supervisor_crashes_injected_total",
-                               "Shard kills injected by the fault plan");
-  crash_shard();
 }
 
 std::uint64_t Supervisor::exact_epochs() const {

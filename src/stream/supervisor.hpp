@@ -8,16 +8,15 @@
 #include <string>
 #include <vector>
 
-#include "sim/faults.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/manager.hpp"
 
 namespace fluxfp::stream {
 
-/// Supervision policy. All deadlines and backoffs are *virtual time*
-/// (event timestamps) — the supervisor never consults a wall clock, so a
-/// supervised replay of a recorded trace makes the same decisions at any
-/// playback speed.
+/// Supervision policy. The supervisor never consults a clock: its cadence
+/// counts fired epochs and a crash restarts at once, so a supervised
+/// replay of a recorded trace makes the same decisions at any playback
+/// speed.
 struct SupervisorConfig {
   /// Fired epochs between supervision boundaries. Epochs are the unit of
   /// real filtering work (an SMC step each), so the snapshot cost
@@ -27,35 +26,18 @@ struct SupervisorConfig {
   /// baseline and the finish() final image are taken).
   std::size_t checkpoint_every_epochs = 32;
 
-  /// Consecutive failed incarnations (no checkpoint committed in between)
-  /// tolerated before the supervisor gives up and sheds every session.
-  std::size_t max_restarts = 3;
-
-  /// Exponential backoff between a crash and its restart, in virtual
-  /// seconds: the k-th consecutive failure waits
-  /// backoff_base * backoff_factor^(k-1). Events offered while the shard
-  /// is down are journaled (not lost) and replayed at restart.
-  double backoff_base = 1.0;
-  double backoff_factor = 2.0;
-
   /// When non-empty, every committed checkpoint is also written here as a
   /// FLUXFPC1 file (the durable copy, replaced atomically; the supervisor
   /// restores from its in-memory image).
   std::string checkpoint_path;
-
-  /// Injected crash schedule over fired epochs (sim/faults.hpp), judged
-  /// on each cut's exact epoch total when it commits. The soak tests
-  /// drive kill/restore cycles through this.
-  sim::ShardCrashPlan fault;
 };
 
 /// Counters of one supervised run.
 struct SupervisorStats {
   std::uint64_t checkpoints = 0;       ///< images committed (incl. baseline)
   std::uint64_t restarts = 0;          ///< successful restore+replay cycles
-  std::uint64_t crashes_injected = 0;  ///< fault plan + inject_crash()
+  std::uint64_t crashes_injected = 0;  ///< inject_crash() kills
   std::uint64_t replayed_events = 0;   ///< journal events re-offered
-  std::uint64_t events_deferred = 0;   ///< journaled while the shard was down
   std::uint64_t sessions_shed = 0;     ///< sessions lost to give-up
   std::uint64_t checkpoint_bytes = 0;  ///< size of the newest image
 };
@@ -63,20 +45,20 @@ struct SupervisorStats {
 /// Crash-recovery loop over a TrackerManager: periodically checkpoints the
 /// live shard (FLUXFPC1), journals every accepted event since the last
 /// checkpoint, and restarts a crashed shard from the last good image —
-/// restore, then journal replay — with bounded retries and exponential
-/// backoff in virtual time. A checkpoint covers exactly the accepted
-/// events its sessions have taken (events_taken summed over the image).
+/// restore, then journal replay — at the crash itself, giving up after
+/// kMaxRestarts consecutive crashes with no commit between. A checkpoint
+/// covers exactly the accepted events its sessions have taken
+/// (events_taken summed over the image).
 ///
 /// A checkpoint never stops the world. At a due boundary offer() asks the
 /// manager for a cut (TrackerManager::request_cut: a marker behind the
 /// offers so far in every worker queue) and returns; each worker encodes
 /// its own sessions when it pops its marker. The first later offer() that
-/// finds every part in place commits the cut: it judges the fault plan on
-/// the cut's exact epoch total, assembles the image, writes the file if
-/// configured, and truncates the journal at the cut's offer. A crash
-/// before the commit discards the cut. A boundary that comes due while a
-/// cut is pending first waits for it, so at most one cut is in flight and
-/// the journal stays bounded.
+/// finds every part in place commits the cut: it assembles the image,
+/// writes the file if configured, and truncates the journal at the cut's
+/// offer. A crash before the commit discards the cut. A boundary that
+/// comes due while a cut is pending first waits for it, so at most one cut
+/// is in flight and the journal stays bounded.
 ///
 /// Recovery is EXACT, not approximate: a cut is consistent (every queue
 /// is FIFO, so each session's image holds exactly its events offered
@@ -108,8 +90,11 @@ class Supervisor {
  public:
   using ManagerFactory = std::function<std::unique_ptr<TrackerManager>()>;
 
-  /// Throws std::invalid_argument on a null factory or a non-positive
-  /// backoff/cadence combination that cannot make progress.
+  /// Consecutive crashes, with no checkpoint committed between them, that
+  /// are restarted; the next one gives up and sheds every session.
+  static constexpr std::size_t kMaxRestarts = 3;
+
+  /// Throws std::invalid_argument on a null factory.
   Supervisor(ManagerFactory factory, SupervisorConfig config);
 
   Supervisor(const Supervisor&) = delete;
@@ -127,13 +112,11 @@ class Supervisor {
   /// admission outcome to the same index of `status` (which must be as
   /// long). The live shard admits the span in one TrackerManager::offer;
   /// accepted events are journaled before this returns, so a later crash
-  /// cannot lose them. While the shard is down (backoff), events for known
-  /// users are deferred — journaled and reported kAccepted — and replayed
-  /// at restart; a supervisor that gave up reports kClosed. Then, once per
-  /// span, commits a completed cut and starts a due one (see the class
-  /// comment), so a cut lands between two spans. The
-  /// returned RoomWait is the backpressure, for the caller to wait on once
-  /// it holds no lock; a crash meanwhile releases it. Throws
+  /// cannot lose them; a supervisor that gave up reports kClosed. Then,
+  /// once per span, commits a completed cut and starts a due one (see the
+  /// class comment), so a cut lands between two spans. The returned
+  /// RoomWait is the backpressure, for the caller to wait on once it holds
+  /// no lock; a crash meanwhile releases it. Throws
   /// std::runtime_error when a commit cannot write checkpoint_path; the
   /// cut is dropped, the events stay journaled and the previous
   /// checkpoint authoritative.
@@ -147,30 +130,29 @@ class Supervisor {
   /// a pending cut captured — the read barrier for mid-stream queries
   /// (netio answers QUERY_ESTIMATE and METRICS off a quiesced shard). The
   /// next offer() then commits that cut. Returns true when the shard is
-  /// up and now idle; false while it is down (backoff) or after give-up —
-  /// journaled deferred events are NOT folded until the restart. Same
-  /// single-coordinator contract as offer().
+  /// now idle; false before start(), after finish() and after give-up.
+  /// Same single-coordinator contract as offer().
   bool quiesce();
 
-  /// Drains and stops: restarts the shard if it is down (the final drain
-  /// ignores the backoff clock), finishes it (flushing open windows), and
+  /// Drains and stops: finishes the shard (flushing open windows) and
   /// commits the final post-flush image, which supersedes a pending cut.
-  /// Throws std::runtime_error when that image cannot be written.
+  /// After give-up there is no shard left to finish. Throws
+  /// std::runtime_error when that image cannot be written.
   void finish();
 
-  /// Test / fault hook: kill the live shard now, exactly as a scheduled
-  /// crash would — all state since the last checkpoint, a pending cut
-  /// included, is discarded. No-op while the shard is already down.
+  /// Test / fault hook: kill the live shard now — all state since the
+  /// last checkpoint, a pending cut included, is discarded — and restart
+  /// it from the newest image and the journal before returning. Gives up
+  /// instead on the crash past kMaxRestarts, or when the newest image
+  /// cannot decode. No-op before start(), after finish() and after
+  /// give-up.
   void inject_crash();
 
   bool started() const { return started_; }
   bool finished() const { return finished_; }
-  /// True once the supervisor exhausted max_restarts and shed its
+  /// True once the supervisor exhausted kMaxRestarts and shed its
   /// sessions; offer() reports kClosed from then on.
   bool failed() const { return failed_; }
-  /// True while the shard is between a crash and its backoff-gated
-  /// restart.
-  bool shard_down() const { return started_ && manager_ == nullptr; }
 
   /// Registered user ids (checkpoint order).
   const std::vector<std::uint32_t>& users() const { return users_; }
@@ -178,31 +160,22 @@ class Supervisor {
   /// Newest committed FLUXFPC1 image (what a restart restores from).
   const std::string& checkpoint_image() const { return image_; }
 
-  /// The live incarnation, or nullptr while the shard is down. Exposes
-  /// final ManagerStats of the last incarnation after finish().
+  /// The live incarnation; nullptr before start() and after give-up.
+  /// After finish() it is the last incarnation, whose sessions hold the
+  /// final counters.
   const TrackerManager* manager() const { return manager_.get(); }
 
   SupervisorStats stats() const { return stats_; }
 
  private:
-  /// Journals `event` while the shard is down: kAccepted for a known
-  /// user, kUnknownUser otherwise.
-  PushStatus defer(const FluxEvent& event);
-  /// Judges the fault plan on the cut's epochs, then either kills the
-  /// shard (false) or commits the assembled image (true).
-  bool commit_cut(ManagerCut cut);
+  /// Commits the assembled image of a completed cut.
+  void commit_cut(ManagerCut cut);
   /// Commits an image: optional file, then the in-memory image and the
   /// journal truncated by the `journaled` entries it covers. `epochs` is
   /// the exact fired-epoch total at the image. A failed file write throws
   /// before anything is committed, so the previous checkpoint stays
   /// authoritative.
   void commit(std::string image, std::uint64_t epochs, std::size_t journaled);
-  /// Kills the live shard and arms the backoff clock (or gives up).
-  void crash_shard();
-  void give_up();
-  /// Decodes the newest image into a fresh incarnation and replays the
-  /// journal. False when recovery is impossible (gives up internally).
-  bool try_restart();
   /// Exact fired-epoch total across sessions; requires a quiesced shard.
   std::uint64_t exact_epochs() const;
 
@@ -221,8 +194,6 @@ class Supervisor {
   bool finished_ = false;
   bool failed_ = false;
   std::size_t consecutive_failures_ = 0;
-  double vnow_ = 0.0;        ///< newest event time seen
-  double restart_at_ = 0.0;  ///< backoff gate while the shard is down
   std::uint64_t epochs_at_checkpoint_ = 0;  ///< cumulative, exact at the cut
   /// Incarnation-local epochs_fired_live() when the newest cut was
   /// requested — the cadence trigger (the live counter resets with each

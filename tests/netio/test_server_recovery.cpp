@@ -42,10 +42,6 @@ std::vector<SessionCut> drive(const Bed& bed, std::size_t sessions,
   mc.workers = workers;
   stream::SupervisorConfig scfg;
   scfg.checkpoint_every_epochs = 2;  // keep the journal short
-  // Restart is gated on virtual time (restart_at_ = crash time + backoff),
-  // and virtual time only advances with offered event timestamps — so keep
-  // the backoff tiny or the whole tail of the stream gets deferred.
-  scfg.backoff_base = 0.01;
   ServerConfig cfg;
   cfg.endpoint = unix_endpoint(tag);
   Server server(bed.factory(sessions, 1, mc), scfg, cfg);
@@ -69,7 +65,7 @@ std::vector<SessionCut> drive(const Bed& bed, std::size_t sessions,
     }
   }
   EXPECT_EQ(accepted, events.size())
-      << "no quota + journaled deferral: nothing accepted may be lost";
+      << "no quota: every event is accepted, crashes or not";
 
   std::vector<SessionCut> cuts(sessions);
   for (std::uint32_t u = 0; u < sessions; ++u) {
@@ -134,16 +130,58 @@ TEST(ServerRecovery, CrashMidConnectionReconstructsBitIdentically) {
   }
 }
 
-TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
+TEST(ServerRecovery, QueryRightAfterACrashReadsTheRestoredShard) {
+  // A crash restarts the shard at once — restore, then journal replay,
+  // under the ingest lock — so a query right after it, with no batch in
+  // between, reads the sessions exactly as they stood before the crash,
+  // on the connection that saw it.
   Bed bed;
   stream::ManagerConfig mc;
   mc.workers = 1;
-  // Default backoff: the shard stays down until an offer arrives whose
-  // timestamp is at least backoff_base (1.0) past the crash point, so the
-  // window where queries see kUnavailable is deterministic.
   stream::SupervisorConfig scfg;
   ServerConfig cfg;
-  cfg.endpoint = unix_endpoint("down");
+  cfg.endpoint = unix_endpoint("requery");
+  Server server(bed.factory(1, 1, mc), scfg, cfg);
+  server.start();
+  const auto events = bed.session_events(0, 3, 4300);
+
+  Client client;
+  ASSERT_TRUE(client.connect(server.endpoint(), 0)) << client.last_error();
+  BatchAckMsg ack;
+  ASSERT_TRUE(client.send_batch(events, ack)) << client.last_error();
+  ASSERT_EQ(ack.accepted, events.size());
+  EstimateMsg before;
+  ASSERT_TRUE(client.query_estimate(0, before)) << client.last_error();
+  ASSERT_GT(before.epochs_fired, 0u);
+
+  server.inject_crash();
+  EstimateMsg after;
+  ASSERT_TRUE(client.query_estimate(0, after)) << client.last_error();
+  const auto cut = [](const EstimateMsg& e) {
+    return std::vector<SessionCut>{
+        {e.epochs_fired, e.events_folded, e.estimates}};
+  };
+  expect_bit_identical(cut(before), cut(after), "query after the crash");
+  // The restored sessions' own counts cover the replayed journal.
+  MetricsMsg m;
+  ASSERT_TRUE(client.metrics(m)) << client.last_error();
+  EXPECT_EQ(m.restarts, 1u);
+  EXPECT_EQ(m.events_accepted, events.size());
+  EXPECT_EQ(m.events_processed, m.events_accepted);
+  client.goodbye();
+  server.stop();
+}
+
+TEST(ServerRecovery, GivenUpShardAnswersUnavailableAndRepeatsItsLastRead) {
+  // kMaxRestarts + 1 kills with no commit between them (no offer between
+  // them either): the supervisor gives up, the one state that leaves the
+  // shard down.
+  Bed bed;
+  stream::ManagerConfig mc;
+  mc.workers = 1;
+  stream::SupervisorConfig scfg;
+  ServerConfig cfg;
+  cfg.endpoint = unix_endpoint("gaveup");
   Server server(bed.factory(1, 1, mc), scfg, cfg);
   server.start();
   const auto events = bed.session_events(0, 3, 4300);
@@ -156,15 +194,18 @@ TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
   const MetricsMsg up = server.metrics();
   EXPECT_EQ(up.events_processed, events.size());
 
-  server.inject_crash();
-  // METRICS cannot read a shard that is down: it repeats its last read.
+  for (std::size_t k = 0; k <= stream::Supervisor::kMaxRestarts; ++k) {
+    server.inject_crash();
+  }
+  // METRICS cannot read a shard that is gone: it repeats its last read.
   const MetricsMsg down = server.metrics();
+  EXPECT_EQ(down.restarts, stream::Supervisor::kMaxRestarts);
   EXPECT_EQ(down.events_processed, up.events_processed);
   EXPECT_EQ(down.ingest_samples, up.ingest_samples);
+  EXPECT_EQ(down.ingest_p50_us, up.ingest_p50_us);
   EXPECT_EQ(down.ingest_max_us, up.ingest_max_us);
 
-  // Queries cannot advance virtual time, so while the shard is down the
-  // refusal must be the typed kUnavailable — and because ERROR frames are
+  // The refusal is the typed kUnavailable — and because ERROR frames are
   // terminal, it costs the prober its connection, never the server.
   Client query;
   ASSERT_TRUE(query.connect(server.endpoint(), 0)) << query.last_error();
@@ -173,23 +214,11 @@ TEST(ServerRecovery, QueryWhileShardDownGetsUnavailableButIngestSurvives) {
   ASSERT_TRUE(query.server_error().has_value()) << query.last_error();
   EXPECT_EQ(query.server_error()->code, ErrorCode::kUnavailable);
 
-  // Ingest on the surviving connection keeps being accepted (journaled
-  // deferral) and, once the event clock moves past the backoff window,
-  // heals the shard: restore + replay, then queries work again.
-  std::vector<stream::FluxEvent> later = events;
-  for (auto& e : later) {
-    e.time += 2.0;  // > backoff_base, so the first offer triggers restart
-  }
-  BatchAckMsg ack2;
-  ASSERT_TRUE(ingest.send_batch(later, ack2)) << ingest.last_error();
-  EXPECT_EQ(ack2.accepted, later.size());
-  EstimateMsg healed;
-  ASSERT_TRUE(ingest.query_estimate(0, healed)) << ingest.last_error();
-  EXPECT_GT(healed.events_folded, 0u);
-  // The restored sessions' own counts cover the replayed journal too.
-  const MetricsMsg after = server.metrics();
-  EXPECT_EQ(after.restarts, 1u);
-  EXPECT_EQ(after.events_processed, events.size() + later.size());
+  // Ingest is refused too, as closed, on a connection that stays up.
+  BatchAckMsg refused;
+  ASSERT_TRUE(ingest.send_batch(events, refused)) << ingest.last_error();
+  EXPECT_EQ(refused.accepted, 0u);
+  EXPECT_EQ(refused.closed, events.size());
   ingest.goodbye();
   server.stop();
 }
@@ -199,8 +228,8 @@ TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
   // its connection is still waiting for room, outside the ingest lock,
   // when the shard is killed. The crash closes the dead incarnation's
   // queues, which releases the wait: the batch is acknowledged in full,
-  // and it replays at the restart — the session ends exactly where an
-  // uninterrupted tracker fed the same events does.
+  // and it replays at the restart that follows the crash — the session
+  // ends exactly where an uninterrupted tracker fed the same events does.
   Bed bed;
   const auto slow = [&bed](std::uint64_t seed) {
     stream::StreamTrackerConfig tc;
@@ -212,7 +241,6 @@ TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
   };
   stream::SupervisorConfig scfg;
   scfg.checkpoint_every_epochs = 0;  // the baseline image only
-  scfg.backoff_base = 0.0;           // restart on the next offer
   ServerConfig cfg;
   cfg.endpoint = unix_endpoint("roomcrash");
   Server server(
@@ -253,7 +281,7 @@ TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
   ASSERT_FALSE(decode_batch_ack(frame.payload, ack).has_value());
   EXPECT_EQ(ack.accepted, 8u);
 
-  // The next batch restarts the shard: restore, then the journal replays.
+  // The rest goes to the restored incarnation.
   Client client;
   ASSERT_TRUE(client.connect(server.endpoint(), 0)) << client.last_error();
   BatchAckMsg rest;

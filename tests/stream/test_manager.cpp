@@ -122,7 +122,6 @@ TEST(TrackerManager, ValidatesConfigAndLifecycle) {
   EXPECT_EQ(m.offer({0.0, 9, 0, 0, 1.0}), PushStatus::kUnknownUser);
   m.finish();
   EXPECT_EQ(m.offer({0.0, 3, 0, 0, 1.0}), PushStatus::kClosed);  // shut down
-  EXPECT_EQ(m.stats().unknown_user, 1u);
   EXPECT_THROW(m.session(9), std::invalid_argument);
 }
 
@@ -183,20 +182,14 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
   }
   m.finish();
 
-  const ManagerStats stats = m.stats();
-  // The blocking queues are lossless: everything accepted was processed.
-  EXPECT_EQ(stats.events_routed, accepted);
-  EXPECT_EQ(stats.events_processed, accepted);
-  EXPECT_GT(stats.epochs_fired, 0u);
-
   std::uint64_t duplicates = 0;
   std::uint64_t late = 0;
-  std::uint64_t epochs = 0;
+  std::uint64_t taken = 0;
   for (std::uint32_t u = 0; u < kSessions; ++u) {
     const StreamStats& ss = m.session(u).stats();
     duplicates += ss.duplicates;
     late += ss.late;
-    epochs += ss.epochs_fired;
+    taken += events_taken(ss);
     // Most windows made it through despite the fault storm.
     EXPECT_GT(ss.epochs_fired, static_cast<std::uint64_t>(kRounds / 2));
     // Every epoch, from a bare tracker fed the same faulty per-session
@@ -220,7 +213,8 @@ TEST(TrackerManager, SurvivesFiftyFaultInjectedRounds) {
     EXPECT_EQ(fired, ss.epochs_fired);
     EXPECT_EQ(state_image(bare), state_image(m.session(u)));
   }
-  EXPECT_EQ(stats.epochs_fired, epochs);
+  // The queues are lossless: the sessions took every accepted event.
+  EXPECT_EQ(taken, accepted);
   // The deterministic fault plan exercised both anomaly paths.
   EXPECT_GT(duplicates, 0u);
   EXPECT_GT(late, 0u);
@@ -275,24 +269,24 @@ TEST(TrackerManager, UnknownUserAndShedCountersMatchReturnedStatuses) {
         FAIL() << "unexpected status at epoch " << e;
     }
   }
+  std::uint64_t unknown = 0;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(m.offer(epoch_event(99, 0, bed)), PushStatus::kUnknownUser);
+    unknown += m.offer(epoch_event(99, 0, bed)) == PushStatus::kUnknownUser;
   }
   m.finish();
 
-  const ManagerStats stats = m.stats();
-  // The counters ARE the returned statuses — no private second ledger.
-  EXPECT_EQ(stats.events_routed, accepted);
-  EXPECT_EQ(stats.unknown_user, 3u);
-  // Quota 1 against a flood: the quota must actually have shed, and
-  // everything admitted was folded (shedding happens only at admission).
+  // The counts ARE the returned statuses — no private second ledger.
+  EXPECT_EQ(unknown, 3u);
+  // Quota 1 against a flood: the quota must actually have shed, and the
+  // session took exactly the admitted events (shedding happens only at
+  // admission).
   EXPECT_GT(shed, 0u);
-  EXPECT_EQ(stats.events_processed, stats.events_routed);
+  EXPECT_EQ(events_taken(m.session(0).stats()), accepted);
 #if defined(FLUXFP_OBS_ENABLED)
   // The obs mirror moved in lockstep with the statuses offer() returned.
   EXPECT_EQ(
       reg.counter("fluxfp_stream_unknown_user_total", "").value() - unknown0,
-      3u);
+      unknown);
 #endif
 }
 
@@ -313,6 +307,11 @@ TEST(TrackerManager, SpanOfferShedsExactlyTheEventsPastTheQuota) {
     opts.tenant = u == 1 ? 1 : 0;
     m.add_session(u, slow_tracker(bed, 1 + u), opts);
   }
+#if defined(FLUXFP_OBS_ENABLED)
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t unknown0 =
+      reg.counter("fluxfp_stream_unknown_user_total", "").value();
+#endif
   m.start();
   std::vector<FluxEvent> span;
   for (std::uint32_t e = 0; e < 5; ++e) {
@@ -325,10 +324,12 @@ TEST(TrackerManager, SpanOfferShedsExactlyTheEventsPastTheQuota) {
 
   std::map<std::uint32_t, std::size_t> kept;  // tenant -> accepted so far
   std::vector<std::uint64_t> accepted_of(3, 0);
+  std::uint64_t unknown = 0;
   for (std::size_t i = 0; i < span.size(); ++i) {
     const std::uint32_t user = span[i].user;
     if (user == 99) {
       EXPECT_EQ(status[i], PushStatus::kUnknownUser) << "event " << i;
+      unknown += status[i] == PushStatus::kUnknownUser;
       continue;
     }
     const std::uint32_t tenant = user == 1 ? 1 : 0;
@@ -342,12 +343,18 @@ TEST(TrackerManager, SpanOfferShedsExactlyTheEventsPastTheQuota) {
   }
   m.finish();
   // Everything admitted was folded, and nothing else.
-  EXPECT_EQ(m.stats().events_routed, 2 * kQuota);
-  EXPECT_EQ(m.stats().events_processed, 2 * kQuota);
-  EXPECT_EQ(m.stats().unknown_user, 5u);
+  std::uint64_t taken = 0;
   for (std::uint32_t u = 0; u < 3; ++u) {
     EXPECT_EQ(m.session(u).stats().events, accepted_of[u]) << "user " << u;
+    taken += events_taken(m.session(u).stats());
   }
+  EXPECT_EQ(taken, 2 * kQuota);
+  EXPECT_EQ(unknown, 5u);
+#if defined(FLUXFP_OBS_ENABLED)
+  EXPECT_EQ(
+      reg.counter("fluxfp_stream_unknown_user_total", "").value() - unknown0,
+      unknown);
+#endif
 }
 
 TEST(TrackerManager, SpanOffersFoldLikeOneEventOffers) {
