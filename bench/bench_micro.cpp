@@ -419,10 +419,11 @@ void BM_StreamEpoch(benchmark::State& state) {
 BENCHMARK(BM_StreamEpoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /// Same workload through the crash-recovery loop at the default checkpoint
-/// cadence — the cost of supervision (journal + periodic cut: a marker per
-/// worker queue, each worker encoding its own sessions, the image
-/// assembled at the commit) on the hot path. Acceptance bar: within 2% of BM_StreamEpoch at the
-/// same worker count. On the single-core reference container run-to-run
+/// cadence — the cost of supervision on the hot path: each worker journals
+/// the events it folds and, every 32 fired epochs of its sessions, encodes
+/// their records on its own thread; with no checkpoint path no whole image
+/// is assembled until finish(). Acceptance bar: within 2% of BM_StreamEpoch
+/// at the same worker count. On the single-core reference container run-to-run
 /// noise exceeds that bar; measure the pair with --benchmark_repetitions
 /// and --benchmark_enable_random_interleaving and compare medians.
 void BM_StreamEpochSupervised(benchmark::State& state) {

@@ -49,21 +49,6 @@ void robust_weights(std::span<const double> residuals,
   for (std::size_t i = 0; i < residuals.size(); ++i) {
     abs_r[i] = std::abs(residuals[i]);
   }
-  if (config.loss == RobustLoss::kTrimmed) {
-    const double trim = std::clamp(config.trim_fraction, 0.0, 0.9);
-    std::vector<double> sorted = abs_r;
-    const std::size_t kept = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil((1.0 - trim) * static_cast<double>(sorted.size()))));
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<long>(kept - 1),
-                     sorted.end());
-    const double threshold = sorted[kept - 1];
-    for (std::size_t i = 0; i < abs_r.size(); ++i) {
-      w[i] = abs_r[i] <= threshold ? 1.0 : 0.0;
-    }
-    return;
-  }
   // Huber: robust scale from the normalized MAD about the median residual.
   std::vector<double> tmp(residuals.begin(), residuals.end());
   const std::size_t mid = tmp.size() / 2;

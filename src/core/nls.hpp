@@ -81,17 +81,14 @@ struct StretchFit {
 /// so a few wildly wrong readings (byzantine sniffers) cannot hijack the
 /// profiled NNLS fit.
 enum class RobustLoss {
-  kNone,     ///< plain least squares
-  kHuber,    ///< Huber weights w = min(1, k*sigma/|r|), sigma from the MAD
-  kTrimmed,  ///< hard-drop the worst trim_fraction of samples
+  kNone,   ///< plain least squares
+  kHuber,  ///< Huber weights w = min(1, k*sigma/|r|), sigma from the MAD
 };
 
 struct RobustFitConfig {
   RobustLoss loss = RobustLoss::kNone;
   /// Huber clip point in multiples of the robust residual scale.
   double huber_k = 1.345;
-  /// Fraction of worst-residual samples given zero weight (kTrimmed).
-  double trim_fraction = 0.15;
   /// Reweight-and-refit iterations on top of the initial plain fit.
   int reweight_rounds = 2;
 };

@@ -20,7 +20,7 @@ SmoothLocalizer::SmoothLocalizer(const geom::Field& field,
 
 namespace {
 
-/// One LM/GN multi-restart pass against `objective`.
+/// One LM multi-restart pass against `objective`.
 SmoothLocalizationResult smooth_search(const geom::Field& field,
                                        const SmoothLocalizerConfig& config,
                                        const SparseObjective& objective,
@@ -98,7 +98,7 @@ SmoothLocalizationResult smooth_search(const geom::Field& field,
   };
 
   // Pre-draw every restart's initial theta on the calling thread, in the
-  // order the serial loop consumed the RNG stream; the LM/GN iterations
+  // order the serial loop consumed the RNG stream; the LM iterations
   // themselves are deterministic, so the restarts can then fan out over
   // the thread pool without changing any result bit.
   const std::size_t restarts = static_cast<std::size_t>(config_.restarts);
@@ -114,12 +114,8 @@ SmoothLocalizationResult smooth_search(const geom::Field& field,
 
   std::vector<numeric::LmResult> runs(restarts);
   numeric::parallel_for(0, restarts, [&](std::size_t restart) {
-    runs[restart] =
-        config_.use_gauss_newton
-            ? numeric::gauss_newton(residual_fn, std::move(thetas[restart]))
-            : numeric::levenberg_marquardt(residual_fn,
-                                           std::move(thetas[restart]),
-                                           config_.lm);
+    runs[restart] = numeric::levenberg_marquardt(
+        residual_fn, std::move(thetas[restart]), config_.lm);
   });
 
   // Winner selection stays serial and in restart order (strict <, so ties

@@ -14,8 +14,6 @@ struct SmoothLocalizerConfig {
   int restarts = 8;
   /// Inner Levenberg–Marquardt options.
   numeric::LmOptions lm;
-  /// Use undamped Gauss–Newton instead of LM (ablation; diverges more).
-  bool use_gauss_newton = false;
   /// Optional robust refit (see LocalizerConfig::robust): IRLS reweighting
   /// of the samples after the plain LM runs.
   RobustFitConfig robust;

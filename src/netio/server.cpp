@@ -123,7 +123,12 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(Connection& conn) {
-  FrameReader reader(conn.socket, config_.limits);
+  // Until HELLO is accepted a frame carries at most a HELLO: a larger
+  // declared payload is refused as oversized before a byte of it is read.
+  WireLimits hello_limits = config_.limits;
+  hello_limits.max_payload =
+      std::min(hello_limits.max_payload, kMaxHelloPayloadBytes);
+  FrameReader reader(conn.socket, hello_limits);
   bool authed = false;
   std::uint32_t tenant = 0;
   Frame frame;
@@ -145,8 +150,12 @@ void Server::serve_connection(Connection& conn) {
       support::MutexLock lock(ingest_mutex_);
       ++frames_in_total_;
     }
+    const bool was_authed = authed;
     if (!handle_frame(conn, authed, tenant, frame)) {
       break;
+    }
+    if (authed && !was_authed) {
+      reader.set_limits(config_.limits);
     }
   }
   conn.socket.shutdown_both();
@@ -264,8 +273,9 @@ bool Server::handle_frame(Connection& conn, bool& authed,
       }
       // Backpressure outside the lock: the other connections offer, query
       // and cut while this one waits for its workers to drain below the
-      // queue capacity. A crash meanwhile closes the queues and releases
-      // the wait; the batch is journaled and replays.
+      // queue capacity. A crash meanwhile drains the queues as it
+      // quiesces, which releases the wait; the batch's events are folded
+      // and journaled, and the restart re-folds them.
       room.wait();
       FLUXFP_OBS_COUNTER_ADD_SCHED("fluxfp_netio_events_accepted_total",
                                    "Events admitted over the wire",

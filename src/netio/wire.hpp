@@ -137,6 +137,8 @@ class FrameReader {
   Status read(Frame& out);
 
   const std::optional<WireError>& error() const { return error_; }
+  /// Bounds the frames read from now on.
+  void set_limits(WireLimits limits) { limits_ = limits; }
   /// Bytes of the connection consumed so far (whole frames).
   std::uint64_t offset() const { return offset_; }
 
@@ -171,6 +173,12 @@ struct HelloMsg {
   /// ERROR{kModelMismatch} and closes.
   std::uint8_t model = 0;
 };
+
+/// The largest payload encode_hello() writes: version, tenant and token,
+/// then the model byte. Until a connection's HELLO is accepted the server
+/// reads no larger frame, so an unauthenticated peer cannot make it wait
+/// for, or buffer, a bigger payload.
+inline constexpr std::size_t kMaxHelloPayloadBytes = 17;
 
 struct WelcomeMsg {
   std::uint32_t version = kWireVersion;

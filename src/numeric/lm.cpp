@@ -102,36 +102,4 @@ LmResult levenberg_marquardt(const ResidualFn& fn, std::vector<double> initial,
   return out;
 }
 
-LmResult gauss_newton(const ResidualFn& fn, std::vector<double> initial,
-                      int max_iter, double step_tol) {
-  LmResult out;
-  out.params = std::move(initial);
-  std::vector<double> r = fn(out.params);
-  out.cost = half_sq_norm(r);
-
-  for (out.iterations = 0; out.iterations < max_iter; ++out.iterations) {
-    const Matrix j = numeric_jacobian(fn, out.params, r, 1e-6);
-    std::vector<double> neg_r(r.size());
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      neg_r[i] = -r[i];
-    }
-    const auto step = qr_least_squares(j, neg_r);
-    if (!step) {
-      break;
-    }
-    double step_norm = 0.0;
-    for (std::size_t i = 0; i < out.params.size(); ++i) {
-      out.params[i] += (*step)[i];
-      step_norm += (*step)[i] * (*step)[i];
-    }
-    r = fn(out.params);
-    out.cost = half_sq_norm(r);
-    if (std::sqrt(step_norm) < step_tol) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
 }  // namespace fluxfp::numeric

@@ -37,9 +37,4 @@ LmResult levenberg_marquardt(const ResidualFn& fn,
                              std::vector<double> initial,
                              const LmOptions& opts = {});
 
-/// Plain Gauss–Newton (no damping); diverges on hard problems, provided for
-/// ablation against LM.
-LmResult gauss_newton(const ResidualFn& fn, std::vector<double> initial,
-                      int max_iter = 50, double step_tol = 1e-12);
-
 }  // namespace fluxfp::numeric

@@ -79,35 +79,15 @@ void EventQueue::wait_for_room() {
   });
 }
 
-bool EventQueue::push_marker() {
-  {
-    support::MutexLock lock(mutex_);
-    if (closed_) {
-      return false;
-    }
-    markers_.push_back(stats_.pushed);
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
 EventQueue::Take EventQueue::take_locked(
     FluxEvent* out, std::size_t max_run,
     std::vector<Clock::time_point>* completed) {
   Take take;
-  if (!markers_.empty() && markers_.front() == stats_.popped) {
-    markers_.pop_front();
-    take.got = Popped::kMarker;
-    return take;
-  }
   if (items_.empty()) {
     return take;
   }
-  std::size_t n = std::min(std::max<std::size_t>(max_run, 1), items_.size());
-  if (!markers_.empty()) {
-    // The next marker sits behind this many events; the run stops there.
-    n = std::min(n, static_cast<std::size_t>(markers_.front() - stats_.popped));
-  }
+  const std::size_t n =
+      std::min(std::max<std::size_t>(max_run, 1), items_.size());
   const bool was_full = items_.size() >= capacity_;
   const auto end = items_.begin() + static_cast<std::ptrdiff_t>(n);
   std::copy(items_.begin(), end, out);
@@ -119,7 +99,6 @@ EventQueue::Take EventQueue::take_locked(
     }
     runs_.pop_front();
   }
-  take.got = Popped::kEvent;
   take.events = n;
   // Producers wait for the depth to fall below the capacity, so only the
   // take that crosses it can release one.
@@ -137,9 +116,8 @@ void EventQueue::after_take(const Take& take) {
   }
 }
 
-EventQueue::Popped EventQueue::pop_run(
-    std::vector<FluxEvent>& out, std::size_t max_run,
-    std::vector<Clock::time_point>& completed) {
+bool EventQueue::pop_run(std::vector<FluxEvent>& out, std::size_t max_run,
+                         std::vector<Clock::time_point>& completed) {
   out.resize(std::max<std::size_t>(max_run, 1));
   completed.clear();
   Take take;
@@ -147,23 +125,23 @@ EventQueue::Popped EventQueue::pop_run(
     support::UniqueLock lock(mutex_);
     not_empty_.wait(lock.native(), [&] {
       mutex_.assert_held();  // predicate runs under the re-acquired lock
-      return closed_ || !items_.empty() || !markers_.empty();
+      return closed_ || !items_.empty();
     });
     take = take_locked(out.data(), max_run, &completed);
   }
   out.resize(take.events);
   after_take(take);
-  return take.got;
+  return take.events > 0;
 }
 
-EventQueue::Popped EventQueue::try_pop(FluxEvent& out) {
+bool EventQueue::try_pop(FluxEvent& out) {
   Take take;
   {
     support::MutexLock lock(mutex_);
     take = take_locked(&out, 1, nullptr);
   }
   after_take(take);
-  return take.got;
+  return take.events > 0;
 }
 
 void EventQueue::close() {

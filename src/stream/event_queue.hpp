@@ -35,13 +35,6 @@ struct QueueStats {
 /// condition variables: the per-run cost is dwarfed by the filtering work
 /// downstream, and the simple protocol is trivially clean under TSan.
 ///
-/// Besides events the queue carries cut markers: a marker sits between the
-/// events pushed before it and those pushed after, takes no slot of the
-/// capacity (pushing one never waits), and reaches the consumer in FIFO
-/// order like an event. TrackerManager's snapshot cut is built on them:
-/// a worker that pops its marker has folded exactly the events offered
-/// before the cut.
-///
 /// Every pushed run carries its push time, and the take that dequeues the
 /// run's last event hands that time to the consumer: TrackerManager's
 /// ingest-to-fold latency is one exact sample per run.
@@ -51,13 +44,6 @@ struct QueueStats {
 /// guaranteed with a single consumer per queue).
 class EventQueue {
  public:
-  /// What a pop handed the consumer.
-  enum class Popped {
-    kEvent,   ///< `out` holds the oldest queued event(s)
-    kMarker,  ///< a cut marker reached the head; `out` holds no event
-    kNone,    ///< pop_run: closed and drained; try_pop: nothing queued now
-  };
-
   using Clock = std::chrono::steady_clock;
 
   /// `capacity` >= 1 bounds the backlog. Throws std::invalid_argument on 0.
@@ -78,30 +64,24 @@ class EventQueue {
   /// Waits until the depth is below the capacity or the queue is closed.
   void wait_for_room();
 
-  /// Enqueues a cut marker behind every event pushed so far, without
-  /// waiting for room. Returns false when the queue is closed.
-  bool push_marker();
-
   /// Dequeues the oldest run into `out` (replacing its contents), waiting
-  /// for an event or a marker. A run holds at most `max_run` (>= 1)
-  /// events and never reaches past a cut marker: the events queued ahead
-  /// of a marker come out first, then kMarker. `completed` receives
-  /// (replacing its contents) the push time of every pushed run whose last
-  /// event this take dequeued, oldest first. Returns kNone when the queue
-  /// is closed AND drained — the consumer's termination signal.
-  Popped pop_run(std::vector<FluxEvent>& out, std::size_t max_run,
-                 std::vector<Clock::time_point>& completed);
+  /// for an event. A run holds at most `max_run` (>= 1) events.
+  /// `completed` receives (replacing its contents) the push time of every
+  /// pushed run whose last event this take dequeued, oldest first. Returns
+  /// false when the queue is closed AND drained — the consumer's
+  /// termination signal.
+  bool pop_run(std::vector<FluxEvent>& out, std::size_t max_run,
+               std::vector<Clock::time_point>& completed);
 
-  /// Non-blocking pop of the head alone; kNone when currently empty (the
+  /// Non-blocking pop of the head alone; false when currently empty (the
   /// queue may still be open). Push times are dropped.
-  Popped try_pop(FluxEvent& out);
+  bool try_pop(FluxEvent& out);
 
   /// Closes the queue: subsequent pushes fail, producers waiting for room
-  /// and the consumer wake up. Already-queued events and markers remain
-  /// poppable.
+  /// and the consumer wake up. Already-queued events remain poppable.
   void close();
 
-  /// Queued events (markers are not counted).
+  /// Queued events.
   std::size_t size() const;
 
   /// Snapshot of the counters (consistent, taken under the lock).
@@ -115,14 +95,12 @@ class EventQueue {
   std::condition_variable not_full_;
   /// What one take dequeued.
   struct Take {
-    Popped got = Popped::kNone;
     std::size_t events = 0;  ///< copied to the caller's buffer
     bool room = false;       ///< the depth fell below the capacity
   };
-  /// Dequeues under the lock: the marker at the head (kMarker), or up to
-  /// `max_run` events, never past a marker, copied to `out` (kEvent);
-  /// kNone when nothing is queued. The push times of the runs the take
-  /// completed go to `completed` unless it is null.
+  /// Dequeues under the lock up to `max_run` events, copied to `out`; none
+  /// when nothing is queued. The push times of the runs the take completed
+  /// go to `completed` unless it is null.
   Take take_locked(FluxEvent* out, std::size_t max_run,
                    std::vector<Clock::time_point>* completed)
       FLUXFP_REQUIRES(mutex_);
@@ -131,9 +109,6 @@ class EventQueue {
   void after_take(const Take& take);
 
   std::deque<FluxEvent> items_ FLUXFP_GUARDED_BY(mutex_);
-  /// Queued markers, oldest first, each as the number of events pushed
-  /// before it: a marker is at the head once that many have been popped.
-  std::deque<std::uint64_t> markers_ FLUXFP_GUARDED_BY(mutex_);
   /// A pushed run not yet completely popped: the number of events pushed
   /// up to its end, and its push time.
   struct Run {
@@ -149,8 +124,9 @@ class EventQueue {
 
 /// The room a span offer waits for once it holds no lock: the queues it
 /// appended to. They are held by shared ownership, so the wait may outlive
-/// the TrackerManager that owned them; a crash that destroys the manager
-/// closes its queues, and a closed queue releases the wait.
+/// the TrackerManager that owned them; a supervisor that gives up destroys
+/// the manager, which closes its queues, and a closed queue releases the
+/// wait.
 class RoomWait {
  public:
   /// Adds `queue` to the queues to wait on.

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "numeric/parallel.hpp"
 #include "obs/instrument.hpp"
 
 #if defined(FLUXFP_OBS_ENABLED)
-#include <string>
-
 #include "obs/obs.hpp"
 #endif
 
@@ -24,6 +23,12 @@ SessionCheckpoint snapshot(std::uint32_t user, const StreamTracker& t) {
   sc.sniffer_nodes.assign(nodes.begin(), nodes.end());
   sc.state = t.save_state();
   return sc;
+}
+
+/// Size of an assembled image: the header, the session count, then the
+/// records (assemble_checkpoint).
+std::uint64_t image_bytes(std::uint64_t record_bytes) {
+  return kCheckpointHeaderBytes + sizeof(std::uint64_t) + record_bytes;
 }
 
 }  // namespace
@@ -70,6 +75,7 @@ void TrackerManager::start() {
   for (std::size_t w = 0; w < workers; ++w) {
     queues_.push_back(std::make_shared<EventQueue>(config_.queue_capacity));
   }
+  journals_.resize(workers);
   if (config_.tenant_quota > 0) {
     // No worker exists yet, but the admission ledger is flow-state:
     // initialize it under its mutex so there is exactly one access regime
@@ -108,6 +114,27 @@ void TrackerManager::start() {
   }
 }
 
+void TrackerManager::start_supervised(std::size_t cut_every_epochs) {
+  if (started_.load(std::memory_order_relaxed)) {
+    throw std::logic_error("TrackerManager: already started");
+  }
+  supervised_ = true;
+  cut_every_epochs_ = cut_every_epochs;
+  std::vector<std::string> records;
+  std::uint64_t bytes = 0;
+  for (const Session& s : sessions_) {
+    records.push_back(encode_session_record(snapshot(s.user, s.tracker)));
+    bytes += records.back().size();
+  }
+  {
+    // No worker exists yet; the flow lock keeps one access regime.
+    support::MutexLock lock(flow_mutex_);
+    cut_records_ = std::move(records);
+    cut_bytes_ = bytes;
+  }
+  start();
+}
+
 bool TrackerManager::admit_locked(std::uint32_t tenant) {
   std::uint64_t& in_flight = tenant_in_flight_.at(tenant);
   if (in_flight >= config_.tenant_quota) {
@@ -118,7 +145,8 @@ bool TrackerManager::admit_locked(std::uint32_t tenant) {
 }
 
 RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
-                               std::span<PushStatus> status) {
+                               std::span<PushStatus> status,
+                               CutsSeen* cuts) {
   if (status.size() != events.size()) {
     throw std::invalid_argument(
         "TrackerManager: offer needs one status slot per event");
@@ -166,6 +194,10 @@ RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
       ++admitted;
     }
     routed_flow_ += admitted;
+    if (cuts != nullptr) {
+      cuts->published = cuts_published_;
+      cuts->image_bytes = image_bytes(cut_bytes_);
+    }
   }
   // Each worker's admitted events, in offer order, as one run, all
   // stamped with one clock read.
@@ -217,6 +249,8 @@ void TrackerManager::worker_loop(std::size_t worker) {
   // and the shared pool admits one external caller at a time.
   numeric::SerialRegionGuard serial;
   EventQueue& queue = *queues_[worker];
+  std::vector<FluxEvent>& journal = journals_[worker];
+  const std::size_t stride = queues_.size();
   const bool quota = config_.tenant_quota > 0;
   // Bounded runs: long enough to pay the flow accounting once per run, short
   // enough that an offer waiting for room is released within a few folds.
@@ -225,26 +259,35 @@ void TrackerManager::worker_loop(std::size_t worker) {
   std::vector<FluxEvent> run;
   std::vector<std::uint32_t> tenants;  // the run's events' tenants (quota)
   std::vector<EventQueue::Clock::time_point> completed;  // offered runs' stamps
-  for (;;) {
-    const EventQueue::Popped got = queue.pop_run(run, max_run, completed);
-    if (got == EventQueue::Popped::kNone) {
-      break;
-    }
-    if (got == EventQueue::Popped::kMarker) {
-      capture_cut(worker);
-      continue;
-    }
-    std::uint64_t fired = 0;
+  std::vector<std::string> records;  // this worker's sessions, at a cut
+  std::uint64_t epochs_since_cut = 0;
+  while (queue.pop_run(run, max_run, completed)) {
     tenants.clear();
     for (const FluxEvent& event : run) {
       // Routing guarantees the session belongs to this worker.
       Session& s = sessions_[user_index_.at(event.user)];
-      fired += s.tracker.on_event(event).size();
+      epochs_since_cut += s.tracker.on_event(event).size();
       if (quota) {
         tenants.push_back(s.options.tenant);
       }
     }
-    epochs_fired_live_.fetch_add(fired, std::memory_order_relaxed);
+    // The cut comes after the run's folds, so its records cover every
+    // event this worker has folded and the journal starts over; without a
+    // cut the run joins the journal. Either way before the flow hold: a
+    // quiesce() that sees the run processed sees the journal and the cut.
+    const bool cut = supervised_ && cut_every_epochs_ > 0 &&
+                     epochs_since_cut >= cut_every_epochs_;
+    if (cut) {
+      records.clear();
+      for (std::size_t i = worker; i < sessions_.size(); i += stride) {
+        const Session& s = sessions_[i];
+        records.push_back(encode_session_record(snapshot(s.user, s.tracker)));
+      }
+      journal.clear();
+      epochs_since_cut = 0;
+    } else if (supervised_) {
+      journal.insert(journal.end(), run.begin(), run.end());
+    }
     const EventQueue::Clock::time_point folded =
         completed.empty() ? EventQueue::Clock::time_point{}
                           : EventQueue::Clock::now();
@@ -262,14 +305,22 @@ void TrackerManager::worker_loop(std::size_t worker) {
             std::chrono::duration<double, std::micro>(folded - pushed)
                 .count());
       }
+      if (cut) {
+        // Swapped in, so the replaced records are freed off the lock.
+        std::size_t k = 0;
+        for (std::size_t i = worker; i < sessions_.size(); i += stride) {
+          cut_bytes_ -= cut_records_[i].size();
+          cut_bytes_ += records[k].size();
+          cut_records_[i].swap(records[k++]);
+        }
+        ++cuts_published_;
+      }
     }
     flow_cv_.notify_all();
   }
   // Stream over: fire every still-open window, in session order.
-  for (std::size_t i = worker; i < sessions_.size();
-       i += queues_.size()) {
-    epochs_fired_live_.fetch_add(sessions_[i].tracker.flush().size(),
-                                 std::memory_order_relaxed);
+  for (std::size_t i = worker; i < sessions_.size(); i += stride) {
+    sessions_[i].tracker.flush();
   }
 }
 
@@ -287,66 +338,6 @@ std::vector<double> TrackerManager::ingest_latency_us() const {
   return latency_us_;
 }
 
-void TrackerManager::capture_cut(std::size_t worker) {
-  // Encoding runs off the lock: this worker alone touches its sessions.
-  const std::size_t stride = queues_.size();
-  std::vector<std::string> records;
-  std::uint64_t epochs = 0;
-  for (std::size_t i = worker; i < sessions_.size(); i += stride) {
-    const Session& s = sessions_[i];
-    records.push_back(encode_session_record(snapshot(s.user, s.tracker)));
-    epochs += s.tracker.stats().epochs_fired;
-  }
-  {
-    support::MutexLock lock(flow_mutex_);
-    std::size_t k = 0;
-    for (std::size_t i = worker; i < sessions_.size(); i += stride) {
-      cut_->records[i] = std::move(records[k++]);
-    }
-    cut_->epochs += epochs;
-    --cut_parts_missing_;
-    ++processed_flow_;
-  }
-  flow_cv_.notify_all();
-}
-
-void TrackerManager::request_cut() {
-  if (!started_.load(std::memory_order_relaxed) ||
-      finished_.load(std::memory_order_relaxed)) {
-    throw std::logic_error("TrackerManager: request_cut() needs a running "
-                           "service");
-  }
-  {
-    support::MutexLock lock(flow_mutex_);
-    if (cut_) {
-      throw std::logic_error("TrackerManager: a cut is already pending");
-    }
-    cut_.emplace();
-    cut_->records.resize(sessions_.size());
-    cut_parts_missing_ = queues_.size();
-    routed_flow_ += queues_.size();
-  }
-  for (auto& q : queues_) {
-    q->push_marker();
-  }
-}
-
-std::optional<ManagerCut> TrackerManager::take_cut(bool wait) {
-  support::UniqueLock lock(flow_mutex_);
-  if (wait) {
-    flow_cv_.wait(lock.native(), [&] {
-      flow_mutex_.assert_held();  // predicate runs under the lock
-      return !cut_ || cut_parts_missing_ == 0;
-    });
-  }
-  if (!cut_ || cut_parts_missing_ != 0) {
-    return std::nullopt;
-  }
-  std::optional<ManagerCut> cut = std::move(cut_);
-  cut_.reset();
-  return cut;
-}
-
 void TrackerManager::quiesce() {
   if (!started_.load(std::memory_order_relaxed) ||
       finished_.load(std::memory_order_relaxed)) {
@@ -357,6 +348,45 @@ void TrackerManager::quiesce() {
     flow_mutex_.assert_held();  // predicate runs under the lock
     return processed_flow_ == routed_flow_;
   });
+}
+
+std::string TrackerManager::cut_image() const {
+  std::vector<std::string> records;
+  {
+    support::MutexLock lock(flow_mutex_);
+    if (cut_records_.empty()) {
+      return {};
+    }
+    records = cut_records_;
+  }
+  return assemble_checkpoint(records);
+}
+
+std::uint64_t TrackerManager::restart_from(const ManagerCheckpoint& cut) {
+  const bool every_session =
+      std::equal(cut.sessions.begin(), cut.sessions.end(), sessions_.begin(),
+                 sessions_.end(),
+                 [](const SessionCheckpoint& sc, const Session& s) {
+                   return sc.user == s.user;
+                 });
+  if (!every_session) {
+    throw std::logic_error("TrackerManager: restart_from() needs every "
+                           "session's record, in registration order");
+  }
+  // Folds inline, as the workers do: the service leaves the shared pool
+  // to single-threaded callers.
+  numeric::SerialRegionGuard serial;
+  std::uint64_t refolded = 0;
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    sessions_[i].tracker.restore_state(cut.sessions[i].state);
+  }
+  for (const std::vector<FluxEvent>& journal : journals_) {
+    for (const FluxEvent& event : journal) {
+      sessions_[user_index_.at(event.user)].tracker.on_event(event);
+    }
+    refolded += journal.size();
+  }
+  return refolded;
 }
 
 ManagerCheckpoint TrackerManager::checkpoint() {

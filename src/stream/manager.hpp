@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -56,13 +55,13 @@ struct ManagerConfig {
   std::size_t tenant_quota = 0;
 };
 
-/// A consistent snapshot cut, captured by the workers (see
-/// TrackerManager::request_cut): every session's FLUXFPC1 record in
-/// registration order, ready for assemble_checkpoint(), and the sessions'
-/// fired-epoch total at the cut.
-struct ManagerCut {
-  std::vector<std::string> records;
-  std::uint64_t epochs = 0;
+/// The workers' cuts (TrackerManager::start_supervised) as one admission
+/// hold of TrackerManager::offer() saw them.
+struct CutsSeen {
+  /// Worker cuts published since start, the start baseline not counted.
+  std::uint64_t published = 0;
+  /// Size of the session-wise image the newest records assemble into.
+  std::uint64_t image_bytes = 0;
 };
 
 /// Shards many concurrent tracking sessions across worker threads: each
@@ -88,11 +87,13 @@ struct ManagerCut {
 ///
 /// Durability: quiesce() + checkpoint() snapshot every session as a
 /// FLUXFPC1 image; a new manager re-registered with the same trackers and
-/// restore()d from the image continues bit-identically (see
-/// stream/supervisor.hpp for the crash-recovery loop built on top).
-/// request_cut() takes the same snapshot without stopping anything: a
-/// marker in every worker queue cuts all sessions at one offer, and each
-/// worker encodes its own sessions when it pops the marker.
+/// restore()d from the image continues bit-identically. Under supervision
+/// (start_supervised, see stream/supervisor.hpp) each worker also cuts and
+/// journals its own sessions on its own thread, without stopping anything.
+/// Sessions share no mutable state, so any prefix of a session's own
+/// events is a valid restore point: the newest cuts make a session-wise
+/// image (cut_image), and restart_from() puts every session back to its
+/// record and re-folds its worker's journal.
 class TrackerManager {
  public:
   explicit TrackerManager(ManagerConfig config);
@@ -113,6 +114,16 @@ class TrackerManager {
   /// no session is registered.
   void start();
 
+  /// start() under supervision: every session's record is cut now, as the
+  /// baseline, and from then on each worker journals the events it folds
+  /// and cuts again after a run that brings its sessions to
+  /// `cut_every_epochs` fired epochs since its last cut (0: never). A cut
+  /// encodes the worker's sessions' FLUXFPC1 records off the flow lock,
+  /// publishes them in the hold the run takes anyway, and empties the
+  /// journal: the records cover every event it folded. Throws like
+  /// start().
+  void start_supervised(std::size_t cut_every_epochs);
+
   /// Routes `events` in order to their sessions' workers, writing each
   /// one's admission outcome to the same index of `status` (which must be
   /// as long). The span is admitted in one hold of the flow lock, a tenant
@@ -120,37 +131,36 @@ class TrackerManager {
   /// queue as one run, without waiting for room. The returned RoomWait is
   /// the backpressure: the caller waits on it once it holds no lock of its
   /// own. A tenant at its quota never waits, its events are shed. Any
-  /// thread may offer.
+  /// thread may offer. `cuts`, when given, receives the workers' cuts as
+  /// the admission hold saw them.
   RoomWait offer(std::span<const FluxEvent> events,
-                 std::span<PushStatus> status);
+                 std::span<PushStatus> status, CutsSeen* cuts = nullptr);
 
   /// One-event form: offers `event`, then waits for room.
   PushStatus offer(const FluxEvent& event);
 
   /// Blocks until every event accepted so far has been folded by its
-  /// worker and every queued cut marker captured (queues drained, workers
-  /// idle). The caller must not offer() concurrently — one coordinating
-  /// thread (the Supervisor pattern), or external synchronization. No-op
-  /// before start() or after finish().
+  /// worker (queues drained, workers idle), and the cuts of those folds
+  /// published. The caller must not offer() concurrently — one
+  /// coordinating thread (the Supervisor pattern), or external
+  /// synchronization. No-op before start() or after finish().
   void quiesce();
 
-  /// Starts a snapshot cut behind every event offered so far: pushes one
-  /// marker into each worker queue, never waiting for room, and returns.
-  /// A worker that pops its marker has folded exactly its sessions' events
-  /// offered before the call (queues are FIFO), and encodes those sessions'
-  /// records on its own thread; take_cut() then hands the parts over.
-  /// The records assemble into the image encode_checkpoint(checkpoint())
-  /// would give after quiescing at this point. At most one cut is
-  /// pending: throws std::logic_error when one is, or when the service is
-  /// not running. Same single-producer caveat as quiesce().
-  void request_cut();
+  /// The session-wise image of the workers' newest cuts: every session's
+  /// newest record, in registration order, assembled into one FLUXFPC1
+  /// image. Sessions may be cut at different points, each record covering
+  /// exactly its own session's events_taken. Empty unless started under
+  /// supervision; any thread may call it.
+  std::string cut_image() const;
 
-  /// The pending cut once every worker has captured its part. With
-  /// `wait`, first waits for the workers that have not reached their
-  /// marker yet — for the events queued ahead of it, not for a drain.
-  /// std::nullopt when no cut is pending or, without `wait`, while a part
-  /// is missing.
-  std::optional<ManagerCut> take_cut(bool wait);
+  /// Crash recovery in place, on a supervised service the caller has
+  /// quiesced: puts every session back to its record in `cut` (the decoded
+  /// cut_image()) and re-folds its worker's journal on the calling thread,
+  /// so that each session again holds every event it took. The queues and
+  /// the worker threads carry on untouched. Returns the events re-folded.
+  /// Same single-producer caveat as quiesce(); throws std::logic_error
+  /// when `cut` is not this service's session list.
+  std::uint64_t restart_from(const ManagerCheckpoint& cut);
 
   /// Snapshot of every session in registration order. Quiesces first when
   /// the service is running, so the image is a consistent cut at an event
@@ -181,12 +191,6 @@ class TrackerManager {
   /// Registered user ids in registration (= checkpoint) order.
   std::vector<std::uint32_t> users() const;
 
-  /// Epochs fired so far across all sessions (relaxed read — a live
-  /// progress signal for supervision cadence, exact after quiesce()).
-  std::uint64_t epochs_fired_live() const {
-    return epochs_fired_live_.load(std::memory_order_relaxed);
-  }
-
   /// Ingest-to-fold latency samples kept: the newest runs'.
   static constexpr std::size_t kIngestLatencySamples = 65536;
   /// Ingest-to-fold latency, in microseconds, of the newest appended runs
@@ -214,9 +218,6 @@ class TrackerManager {
   };
 
   void worker_loop(std::size_t worker);
-  /// The worker's side of a cut: encodes its sessions' records and hands
-  /// them to the pending cut.
-  void capture_cut(std::size_t worker);
   const Session& find_session(std::uint32_t user) const;
   /// Quota admission under the flow lock: takes one of the tenant's
   /// in-flight slots, or returns false when it has none left. Only called
@@ -231,18 +232,24 @@ class TrackerManager {
   /// One per worker, shared with the RoomWaits of offers still waiting.
   std::vector<std::shared_ptr<EventQueue>> queues_;
   std::vector<std::thread> threads_;
+  /// Supervision (start_supervised), fixed before the workers start.
+  bool supervised_ = false;
+  std::size_t cut_every_epochs_ = 0;
+  /// Per worker, under supervision: the events it folded since its newest
+  /// cut, in fold order. Like the sessions, touched by its worker, and by
+  /// restart_from() while the service is quiesced.
+  std::vector<std::vector<FluxEvent>> journals_;
   /// Lifecycle flags. Relaxed everywhere: the actual publication points
   /// are thread creation (start), the queue close/join handshake (finish),
   /// and the flow_mutex_ ledger — these flags only gate the fast-fail
   /// paths, where a stale read degrades to kClosed, never to a race.
   std::atomic<bool> started_{false};   // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is thread creation, not this flag
   std::atomic<bool> finished_{false};  // fluxfp-lint: allow(atomics-policy) -- fast-fail gate documented above; real publication is the close/join handshake
-  std::atomic<std::uint64_t> epochs_fired_live_{0};  // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
 
   /// Flow accounting: routed/processed totals for quiesce(), when a tenant
   /// quota is configured the per-tenant in-flight counts for admission,
-  /// and the ingest-to-fold latency ring. One mutex guards it all, taken
-  /// once per offered span and once per folded run.
+  /// the ingest-to-fold latency ring, and the published cuts. One mutex
+  /// guards it all, taken once per offered span and once per folded run.
   mutable support::Mutex flow_mutex_;
   std::condition_variable flow_cv_;
   std::uint64_t routed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
@@ -253,11 +260,11 @@ class TrackerManager {
   /// overwritten at latency_next_.
   std::vector<double> latency_us_ FLUXFP_GUARDED_BY(flow_mutex_);
   std::size_t latency_next_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
-  /// The pending cut (request_cut) and how many workers have yet to
-  /// capture their part of it. Its markers count in routed_flow_ and
-  /// processed_flow_, so quiesce() waits for them too.
-  std::optional<ManagerCut> cut_ FLUXFP_GUARDED_BY(flow_mutex_);
-  std::size_t cut_parts_missing_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
+  /// Every session's record from its worker's newest cut, in registration
+  /// order; their total size; and the worker cuts published so far.
+  std::vector<std::string> cut_records_ FLUXFP_GUARDED_BY(flow_mutex_);
+  std::uint64_t cut_bytes_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
+  std::uint64_t cuts_published_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
 };
 
 }  // namespace fluxfp::stream

@@ -3,12 +3,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "stream/checkpoint.hpp"
 #include "stream/manager.hpp"
 
 namespace fluxfp::stream {
@@ -18,17 +16,18 @@ namespace fluxfp::stream {
 /// replay of a recorded trace makes the same decisions at any playback
 /// speed.
 struct SupervisorConfig {
-  /// Fired epochs between supervision boundaries. Epochs are the unit of
-  /// real filtering work (an SMC step each), so the snapshot cost
-  /// amortizes against actual progress no matter how fast events arrive.
-  /// At a boundary the supervisor cuts the shard without stopping it (see
-  /// Supervisor); 0 disables periodic supervision (only the start()
-  /// baseline and the finish() final image are taken).
+  /// Fired epochs between a worker's cuts. Epochs are the unit of real
+  /// filtering work (an SMC step each), so the snapshot cost amortizes
+  /// against actual progress no matter how fast events arrive. A worker
+  /// whose sessions have fired this many since its last cut cuts them
+  /// again, without stopping anything (see TrackerManager::start_supervised);
+  /// 0 disables periodic cuts (only the start() baseline and the finish()
+  /// final image are taken).
   std::size_t checkpoint_every_epochs = 32;
 
   /// When non-empty, every committed checkpoint is also written here as a
   /// FLUXFPC1 file (the durable copy, replaced atomically; the supervisor
-  /// restores from its in-memory image).
+  /// restores from the workers' in-memory cuts).
   std::string checkpoint_path;
 };
 
@@ -37,47 +36,41 @@ struct SupervisorStats {
   std::uint64_t checkpoints = 0;       ///< images committed (incl. baseline)
   std::uint64_t restarts = 0;          ///< successful restore+replay cycles
   std::uint64_t crashes_injected = 0;  ///< inject_crash() kills
-  std::uint64_t replayed_events = 0;   ///< journal events re-offered
+  std::uint64_t replayed_events = 0;   ///< journal events re-folded
   std::uint64_t sessions_shed = 0;     ///< sessions lost to give-up
   std::uint64_t checkpoint_bytes = 0;  ///< size of the newest image
 };
 
-/// Crash-recovery loop over a TrackerManager: periodically checkpoints the
-/// live shard (FLUXFPC1), journals every accepted event since the last
-/// checkpoint, and restarts a crashed shard from the last good image —
-/// restore, then journal replay — at the crash itself, giving up after
-/// kMaxRestarts consecutive crashes with no commit between. A checkpoint
-/// covers exactly the accepted events its sessions have taken
-/// (events_taken summed over the image).
+/// Crash-recovery loop over a TrackerManager started under supervision:
+/// each worker cuts its own sessions every checkpoint_every_epochs fired
+/// epochs and journals the events it folds since (see
+/// TrackerManager::start_supervised), and a crashed shard restarts in
+/// place from those cuts and journals at the crash itself, giving up after
+/// kMaxRestarts consecutive crashes with no commit between.
 ///
-/// A checkpoint never stops the world. At a due boundary offer() asks the
-/// manager for a cut (TrackerManager::request_cut: a marker behind the
-/// offers so far in every worker queue) and returns; each worker encodes
-/// its own sessions when it pops its marker. The first later offer() that
-/// finds every part in place commits the cut: it assembles the image,
-/// writes the file if configured, and truncates the journal at the cut's
-/// offer. A crash before the commit discards the cut. A boundary that
-/// comes due while a cut is pending first waits for it, so at most one cut
-/// is in flight and the journal stays bounded.
+/// A checkpoint never stops the world, and the supervisor takes no part in
+/// cutting. Sessions share no mutable state, so any prefix of a session's
+/// own events is a valid restore point: the image of the newest cuts is
+/// session-wise, each session's record covering exactly its own
+/// events_taken. Once per span, offer() reads the cut count the manager's
+/// admission hold saw; when a worker has cut since the newest commit it
+/// commits: it writes the image to checkpoint_path if one is set (only
+/// then is a whole image assembled) and counts the commit.
 ///
-/// Recovery is EXACT, not approximate: a cut is consistent (every queue
-/// is FIFO, so each session's image holds exactly its events offered
-/// before the cut), and checkpoint + journal always reconstruct the
-/// precise accepted-event prefix, so the session states of a supervised
-/// run (and hence its images and served estimates) are bit-identical to
-/// an uninterrupted run's fed the same accepted events, no matter when or
-/// how often the shard dies. A tenant quota does not change that: the
-/// replay re-offers a journaled event the quota sheds once the shard is
-/// quiesced, so no accepted event is lost.
-/// Every restart round-trips the state through encoded FLUXFPC1 bytes —
-/// the serialized format, not the in-memory structs, is what recovery
-/// relies on.
+/// Recovery is EXACT, not approximate: a restart quiesces the shard, puts
+/// every session back to its worker's newest cut, decoded from the encoded
+/// FLUXFPC1 bytes, and re-folds that worker's journal, so the session
+/// states of a supervised run (and hence its images and served estimates)
+/// are bit-identical to an uninterrupted run's fed the same accepted
+/// events, no matter when or how often the shard dies. The re-fold admits
+/// nothing, so a tenant quota cannot shed a journaled event. The manager,
+/// its queues and its worker threads survive a restart; only give-up
+/// destroys the manager.
 ///
-/// The factory builds a fresh, NOT-started manager with the same sessions
-/// (same construction inputs: model, sniffers, config, seed) each time —
-/// the supervisor owns start/restore/replay. Like quiesce(), the
-/// supervisor is driven by one coordinating thread: offer() and the
-/// lifecycle calls must not race each other.
+/// The factory builds the NOT-started manager once, in start(); the
+/// supervisor owns start/restart. Like quiesce(), the supervisor is driven
+/// by one coordinating thread: offer() and the lifecycle calls must not
+/// race each other.
 ///
 /// Threading: the Supervisor deliberately owns no mutex — the
 /// single-coordinator contract above IS its synchronization. Where the
@@ -100,9 +93,9 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Builds and starts the first incarnation and commits the epoch-zero
-  /// baseline image (a crash before the first boundary needs something to
-  /// restore). Throws std::logic_error when already started,
+  /// Builds and starts the manager under supervision and commits the
+  /// epoch-zero baseline image (a crash before the first cut needs
+  /// something to restore). Throws std::logic_error when already started,
   /// std::invalid_argument when the factory misbehaves (null, already
   /// started, or no sessions), and std::runtime_error when the baseline
   /// cannot be written to checkpoint_path.
@@ -110,42 +103,38 @@ class Supervisor {
 
   /// Offers `events` in order to the supervised shard, writing each one's
   /// admission outcome to the same index of `status` (which must be as
-  /// long). The live shard admits the span in one TrackerManager::offer;
-  /// accepted events are journaled before this returns, so a later crash
-  /// cannot lose them; a supervisor that gave up reports kClosed. Then,
-  /// once per span, commits a completed cut and starts a due one (see the
-  /// class comment), so a cut lands between two spans. The returned
+  /// long). The live shard admits the span in one TrackerManager::offer,
+  /// whose workers journal what they fold; a supervisor that gave up
+  /// reports kClosed. Then, once per span, commits when a worker has cut
+  /// since the newest commit (see the class comment). The returned
   /// RoomWait is the backpressure, for the caller to wait on once it holds
-  /// no lock; a crash meanwhile releases it. Throws
-  /// std::runtime_error when a commit cannot write checkpoint_path; the
-  /// cut is dropped, the events stay journaled and the previous
-  /// checkpoint authoritative.
+  /// no lock. Throws std::runtime_error when a commit cannot write
+  /// checkpoint_path, after the span was admitted: the file keeps the
+  /// previous image, and the next offer tries again.
   RoomWait offer(std::span<const FluxEvent> events,
                  std::span<PushStatus> status);
 
   /// One-event form: offers `event`, then waits for room.
   PushStatus offer(const FluxEvent& event);
 
-  /// Drains the live shard until every accepted event has been folded and
-  /// a pending cut captured — the read barrier for mid-stream queries
-  /// (netio answers QUERY_ESTIMATE and METRICS off a quiesced shard). The
-  /// next offer() then commits that cut. Returns true when the shard is
-  /// now idle; false before start(), after finish() and after give-up.
-  /// Same single-coordinator contract as offer().
+  /// Drains the live shard until every accepted event has been folded —
+  /// the read barrier for mid-stream queries (netio answers QUERY_ESTIMATE
+  /// and METRICS off a quiesced shard). Returns true when the shard is now
+  /// idle; false before start(), after finish() and after give-up. Same
+  /// single-coordinator contract as offer().
   bool quiesce();
 
   /// Drains and stops: finishes the shard (flushing open windows) and
-  /// commits the final post-flush image, which supersedes a pending cut.
-  /// After give-up there is no shard left to finish. Throws
-  /// std::runtime_error when that image cannot be written.
+  /// commits the final post-flush image. After give-up there is no shard
+  /// left to finish. Throws std::runtime_error when that image cannot be
+  /// written.
   void finish();
 
-  /// Test / fault hook: kill the live shard now — all state since the
-  /// last checkpoint, a pending cut included, is discarded — and restart
-  /// it from the newest image and the journal before returning. Gives up
-  /// instead on the crash past kMaxRestarts, or when the newest image
-  /// cannot decode. No-op before start(), after finish() and after
-  /// give-up.
+  /// Test / fault hook: kill the live shard now — every session's state
+  /// since its worker's newest cut is discarded — and restart it in place
+  /// from the cuts and the journals before returning. Gives up instead on
+  /// the crash past kMaxRestarts, or when the cuts cannot decode. No-op
+  /// before start(), after finish() and after give-up.
   void inject_crash();
 
   bool started() const { return started_; }
@@ -157,48 +146,40 @@ class Supervisor {
   /// Registered user ids (checkpoint order).
   const std::vector<std::uint32_t>& users() const { return users_; }
 
-  /// Newest committed FLUXFPC1 image (what a restart restores from).
-  const std::string& checkpoint_image() const { return image_; }
+  /// The newest FLUXFPC1 image: while the shard runs, the session-wise
+  /// image of the workers' newest cuts (what a restart restores from),
+  /// assembled by this call; after finish() the final image; after
+  /// give-up the last image of the cuts. Empty before start().
+  std::string checkpoint_image() const;
 
-  /// The live incarnation; nullptr before start() and after give-up.
-  /// After finish() it is the last incarnation, whose sessions hold the
-  /// final counters.
+  /// The live manager; nullptr before start() and after give-up. After
+  /// finish() it is the finished manager, whose sessions hold the final
+  /// counters.
   const TrackerManager* manager() const { return manager_.get(); }
 
   SupervisorStats stats() const { return stats_; }
 
  private:
-  /// Commits the assembled image of a completed cut.
-  void commit_cut(ManagerCut cut);
-  /// Commits an image: optional file, then the in-memory image and the
-  /// journal truncated by the `journaled` entries it covers. `epochs` is
-  /// the exact fired-epoch total at the image. A failed file write throws
-  /// before anything is committed, so the previous checkpoint stays
-  /// authoritative.
-  void commit(std::string image, std::uint64_t epochs, std::size_t journaled);
-  /// Exact fired-epoch total across sessions; requires a quiesced shard.
-  std::uint64_t exact_epochs() const;
+  /// Writes `image` to checkpoint_path when one is set. Throws
+  /// std::runtime_error when it cannot.
+  void persist(const std::string& image) const;
+  /// Counts a committed image of `bytes` and ends the incident window.
+  void count_commit(std::uint64_t bytes);
 
   ManagerFactory factory_;
   SupervisorConfig config_;
   std::unique_ptr<TrackerManager> manager_;
   std::vector<std::uint32_t> users_;
-  /// Accepted events since the newest checkpoint, in offer order.
-  std::vector<FluxEvent> journal_;
-  std::string image_;  ///< newest FLUXFPC1 bytes
+  /// The final image after finish(), or the cuts' image at give-up.
+  std::string image_;
   SupervisorStats stats_;
-  /// The cut in flight, as the journal length when it was requested.
-  std::optional<std::size_t> cut_;
+  /// The manager's published cut count at the newest commit.
+  std::uint64_t cuts_committed_ = 0;
 
   bool started_ = false;
   bool finished_ = false;
   bool failed_ = false;
   std::size_t consecutive_failures_ = 0;
-  std::uint64_t epochs_at_checkpoint_ = 0;  ///< cumulative, exact at the cut
-  /// Incarnation-local epochs_fired_live() when the newest cut was
-  /// requested — the cadence trigger (the live counter resets with each
-  /// incarnation, the cumulative one above does not).
-  std::uint64_t epochs_live_at_cut_ = 0;
 };
 
 }  // namespace fluxfp::stream

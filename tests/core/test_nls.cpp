@@ -411,12 +411,6 @@ TEST(RobustWeights, DownweightsOutliersOnly) {
       EXPECT_DOUBLE_EQ(w[i], 1.0);
     }
   }
-  cfg.loss = RobustLoss::kTrimmed;
-  cfg.trim_fraction = 0.05;
-  const std::vector<double> t = robust_weights(r, cfg);
-  EXPECT_DOUBLE_EQ(t[10], 0.0);
-  EXPECT_DOUBLE_EQ(t[40], 0.0);
-  EXPECT_DOUBLE_EQ(t[0], 1.0);
 }
 
 TEST(RobustWeights, DegenerateScaleLeavesAllWeightsAtOne) {

@@ -87,20 +87,6 @@ TEST(SmoothLocalizer, PositionsStayInsideField) {
   EXPECT_TRUE(f.contains(res.positions[0], 1e-9));
 }
 
-TEST(SmoothLocalizer, GaussNewtonVariantRuns) {
-  const geom::CircleField f({15, 15}, 15.0);
-  const Synthetic syn(f, 8, 50, {{13, 13}}, {2.0});
-  const SparseObjective obj = syn.objective();
-  SmoothLocalizerConfig cfg;
-  cfg.use_gauss_newton = true;
-  cfg.restarts = 12;
-  const SmoothLocalizer loc(f, cfg);
-  geom::Rng rng(9);
-  const SmoothLocalizationResult res = loc.localize(obj, 1, rng);
-  // GN is less reliable than LM but with restarts should land close.
-  EXPECT_LT(geom::distance(res.positions[0], {13, 13}), 3.0);
-}
-
 TEST(SmoothLocalizer, RectangularFieldDegradesVersusCircle) {
   // The §4.A claim, measured: identical generative setup, but the
   // rectangular field's kinked objective stalls derivative-based fitting

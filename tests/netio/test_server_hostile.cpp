@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <cstring>
 #include <string>
 #include <vector>
@@ -91,6 +93,30 @@ TEST_F(HostileServer, OversizedDeclaredLengthRefusedWithoutAllocation) {
   std::memcpy(header.data() + 8, &huge, sizeof(huge));
   Socket s = raw_connection();
   ASSERT_TRUE(s.write_all(header));
+  const auto err = drain_for_error(s);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, ErrorCode::kMalformedFrame);
+  EXPECT_NE(err->message.find("oversized"), std::string::npos)
+      << err->message;
+  assert_still_serving();
+}
+
+TEST_F(HostileServer, UnauthenticatedHeaderLargerThanAHelloIsRefusedAtOnce) {
+  HelloMsg hello;
+  hello.model = 1;  // the optional byte: the largest HELLO there is
+  ASSERT_EQ(encode_hello(hello).size(), kMaxHelloPayloadBytes);
+  // A header declaring a 1 MiB EVENT_BATCH, within the frame limit, and
+  // not one payload byte after it: before HELLO the server must refuse
+  // the header instead of waiting for the payload.
+  std::string header = encode_frame(FrameType::kEventBatch, "");
+  const std::uint32_t mib = 1u << 20;
+  ASSERT_LE(mib, WireLimits{}.max_payload);
+  std::memcpy(header.data() + 8, &mib, sizeof(mib));
+  Socket s = raw_connection();
+  ASSERT_TRUE(s.write_all(header));
+  pollfd reply{s.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&reply, 1, 5000), 1)
+      << "no reply in 5 s: the server is waiting for the payload";
   const auto err = drain_for_error(s);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, ErrorCode::kMalformedFrame);

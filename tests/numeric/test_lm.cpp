@@ -70,20 +70,6 @@ TEST(LevenbergMarquardt, CostNeverIncreases) {
   EXPECT_LE(res.cost, prev_cost);
 }
 
-TEST(GaussNewton, FitsExponential) {
-  const LmResult res = gauss_newton(exponential_fit_problem(), {1.5, 0.4});
-  EXPECT_NEAR(res.params[0], 2.0, 1e-5);
-  EXPECT_NEAR(res.params[1], 0.5, 1e-5);
-}
-
-TEST(GaussNewton, LinearProblemOneStep) {
-  const ResidualFn fn = [](const std::vector<double>& p) {
-    return std::vector<double>{2.0 * p[0] - 4.0};
-  };
-  const LmResult res = gauss_newton(fn, {0.0});
-  EXPECT_NEAR(res.params[0], 2.0, 1e-8);
-}
-
 // The flux-model objective over a rectangular field is non-differentiable;
 // this miniature version (|p| kinks) shows LM stalling away from the true
 // minimum while remaining finite — the failure mode §4.A cites.

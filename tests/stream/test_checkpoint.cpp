@@ -220,70 +220,6 @@ TEST(Checkpoint, KillAtArbitraryEventRestoreIsBitIdentical) {
   }
 }
 
-TEST(Checkpoint, CutMatchesQuiescedImageAtAnyOffer) {
-  // A cut requested after k offers, while offers continue, assembles the
-  // image of a manager quiesced after exactly those k offers: each worker
-  // captures its sessions at its marker, and the queues are FIFO.
-  const Bed bed;
-  constexpr std::size_t kSessions = 3;
-  std::vector<std::vector<FluxEvent>> streams;
-  for (std::uint32_t u = 0; u < kSessions; ++u) {
-    streams.push_back(bed.session_events(u, 6, 91 + u));
-  }
-  const std::vector<FluxEvent> merged =
-      merge_by_time(std::span<const std::vector<FluxEvent>>(streams));
-  const std::size_t n = merged.size();
-  ASSERT_GT(n, 40u);
-  const std::vector<std::size_t> cuts = {1, n / 3, 2 * n / 3, n - 1};
-  auto reference = make_manager(bed, kSessions, 1);
-  reference->start();
-  const Images want = offer_probing(*reference, merged, 0, n, cuts);
-  reference->finish();
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t k : cuts) {
-      auto m = make_manager(bed, kSessions, workers);
-      EXPECT_THROW(m->request_cut(), std::logic_error);  // not running
-      m->start();
-      EXPECT_FALSE(m->take_cut(true).has_value());  // none pending
-      std::optional<ManagerCut> cut;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == k) {
-          m->request_cut();
-          EXPECT_THROW(m->request_cut(), std::logic_error);  // one at a time
-        } else if (i > k && !cut) {
-          cut = m->take_cut(false);
-        }
-        m->offer(merged[i]);
-      }
-      if (!cut) {
-        cut = m->take_cut(true);
-      }
-      ASSERT_TRUE(cut.has_value());
-      const std::string image = assemble_checkpoint(cut->records);
-      EXPECT_EQ(image, want.at(k)) << "cut " << k << " workers " << workers;
-      ManagerCheckpoint decoded;
-      ASSERT_FALSE(decode(image, decoded).has_value());
-      std::uint64_t epochs = 0;
-      for (const SessionCheckpoint& sc : decoded.sessions) {
-        epochs += sc.state.stats.epochs_fired;
-      }
-      EXPECT_EQ(cut->epochs, epochs) << "cut " << k << " workers " << workers;
-
-      // A cut of an idle service: every worker is parked on an empty
-      // queue and must wake for its marker alone.
-      m->quiesce();
-      m->request_cut();
-      const std::optional<ManagerCut> idle = m->take_cut(true);
-      ASSERT_TRUE(idle.has_value());
-      EXPECT_EQ(assemble_checkpoint(idle->records),
-                encode_checkpoint(m->checkpoint()));
-      EXPECT_FALSE(m->take_cut(true).has_value());  // taken already
-      m->finish();
-    }
-  }
-}
-
 TEST(Checkpoint, HeaderCrcIsStandardCrc32) {
   // The header CRC is the IEEE 802.3 CRC-32 (zlib's), checked here against
   // a bitwise definition of the polynomial rather than against itself.

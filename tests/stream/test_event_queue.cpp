@@ -19,7 +19,6 @@
 namespace fluxfp::stream {
 namespace {
 
-using Popped = EventQueue::Popped;
 using Clock = EventQueue::Clock;
 
 FluxEvent ev(double time, std::uint32_t node) {
@@ -27,11 +26,11 @@ FluxEvent ev(double time, std::uint32_t node) {
 }
 
 /// Waiting pop of one event: pop_run with a run bound of 1.
-Popped pop_one(EventQueue& q, FluxEvent& out) {
+bool pop_one(EventQueue& q, FluxEvent& out) {
   std::vector<FluxEvent> run;
   std::vector<Clock::time_point> completed;
-  const Popped got = q.pop_run(run, 1, completed);
-  if (got == Popped::kEvent) {
+  const bool got = q.pop_run(run, 1, completed);
+  if (got) {
     EXPECT_EQ(run.size(), 1u);
     out = run.front();
   }
@@ -49,10 +48,10 @@ TEST(EventQueue, FifoOrderAndStats) {
   }
   FluxEvent out;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+    ASSERT_TRUE(q.try_pop(out));
     EXPECT_EQ(out.node, static_cast<std::uint32_t>(i));
   }
-  EXPECT_EQ(q.try_pop(out), Popped::kNone);
+  EXPECT_FALSE(q.try_pop(out));
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 5u);
   EXPECT_EQ(s.popped, 5u);
@@ -74,7 +73,7 @@ TEST(EventQueue, BlockPolicyIsLossless) {
   // Slow consumer: backpressure must keep every event.
   std::vector<std::uint32_t> seen;
   FluxEvent out;
-  while (pop_one(q, out) == Popped::kEvent) {
+  while (pop_one(q, out)) {
     seen.push_back(out.node);
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -101,7 +100,7 @@ TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
   EXPECT_FALSE(second_done.load());  // full queue held the producer
   EXPECT_EQ(q.size(), 2u);           // with its event already queued
   FluxEvent out;
-  ASSERT_EQ(pop_one(q, out), Popped::kEvent);
+  ASSERT_TRUE(pop_one(q, out));
   producer.join();
   EXPECT_TRUE(second_done.load());
 }
@@ -148,7 +147,7 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
     }
   }
   producer.join();
-  while (q.try_pop(out) == Popped::kEvent) {
+  while (q.try_pop(out)) {
   }
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, kEvents);
@@ -166,9 +165,9 @@ TEST(EventQueue, CloseDrainsThenStops) {
   q.close();
   EXPECT_FALSE(q.push(ev(1, 8)));  // no new events after close
   FluxEvent out;
-  EXPECT_EQ(pop_one(q, out), Popped::kEvent);  // but the backlog still drains
+  EXPECT_TRUE(pop_one(q, out));  // but the backlog still drains
   EXPECT_EQ(out.node, 7u);
-  EXPECT_EQ(pop_one(q, out), Popped::kNone);
+  EXPECT_FALSE(pop_one(q, out));
 }
 
 TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
@@ -199,39 +198,12 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   producer.join();
   EXPECT_TRUE(push_result.load());  // its event was queued before the wait
   FluxEvent out;
-  EXPECT_EQ(pop_one(q, out), Popped::kEvent);  // the backlog still drains
+  EXPECT_TRUE(pop_one(q, out));  // the backlog still drains
   EXPECT_EQ(out.node, 0u);
-  EXPECT_EQ(pop_one(q, out), Popped::kEvent);
+  EXPECT_TRUE(pop_one(q, out));
   EXPECT_EQ(out.node, 1u);
-  EXPECT_EQ(pop_one(q, out), Popped::kNone);
+  EXPECT_FALSE(pop_one(q, out));
   EXPECT_FALSE(q.push(ev(2, 2)));  // and nothing joins it after the close
-}
-
-TEST(EventQueue, MarkersKeepFifoOrderAndTakeNoSlot) {
-  EventQueue q(2);
-  const FluxEvent first[] = {{0.0, 5, 0, 10, 1.0}, {1.0, 9, 0, 11, 1.0}};
-  ASSERT_TRUE(q.push_run(first, {}));
-  ASSERT_TRUE(q.push_marker());  // full queue: a marker still never waits
-  EXPECT_EQ(q.size(), 2u);       // and is not counted as an event
-  FluxEvent out;
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);  // a pop ahead moves it up
-  EXPECT_EQ(out.node, 10u);
-  const FluxEvent third[] = {{2.0, 5, 1, 12, 1.0}};
-  ASSERT_TRUE(q.push_run(third, {}));
-  ASSERT_TRUE(q.push_marker());
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
-  EXPECT_EQ(out.node, 11u);
-  EXPECT_EQ(q.try_pop(out), Popped::kMarker);
-  EXPECT_EQ(out.node, 11u);  // a marker leaves `out` alone
-  q.close();
-  EXPECT_FALSE(q.push_marker());
-  ASSERT_EQ(pop_one(q, out), Popped::kEvent);  // the backlog still drains ...
-  EXPECT_EQ(out.node, 12u);
-  EXPECT_EQ(pop_one(q, out), Popped::kMarker);  // ... markers included
-  EXPECT_EQ(pop_one(q, out), Popped::kNone);
-  const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, 3u);
-  EXPECT_EQ(s.pushed, s.popped);
 }
 
 TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
@@ -254,7 +226,7 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
   std::vector<bool> seen(kTotal, false);
   FluxEvent out;
   std::size_t total = 0;
-  while (total < kTotal && pop_one(q, out) == Popped::kEvent) {
+  while (total < kTotal && pop_one(q, out)) {
     EXPECT_FALSE(seen[out.node]);
     seen[out.node] = true;
     ++total;
@@ -263,7 +235,7 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
     t.join();
   }
   EXPECT_EQ(total, kTotal);
-  EXPECT_EQ(q.try_pop(out), Popped::kNone);  // and nothing beyond them
+  EXPECT_FALSE(q.try_pop(out));  // and nothing beyond them
 }
 
 TEST(EventQueue, RunPushNeverWaitsEvenOnAFullQueue) {
@@ -279,7 +251,7 @@ TEST(EventQueue, RunPushNeverWaitsEvenOnAFullQueue) {
   EXPECT_EQ(q.stats().max_depth, 10u);
   FluxEvent out;
   for (std::uint32_t i = 0; i < 10; ++i) {
-    ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+    ASSERT_TRUE(q.try_pop(out));
     EXPECT_EQ(out.node, i % 5);  // one run after the other, in order
   }
   q.close();
@@ -316,10 +288,10 @@ TEST(EventQueue, WaitForRoomWaitsForAPopBelowCapacityOrAClose) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(first_released.load());  // depth 3: no room
   FluxEvent out;
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+  ASSERT_TRUE(q.try_pop(out));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(first_released.load());  // depth 2 is still no room
-  ASSERT_EQ(q.try_pop(out), Popped::kEvent);
+  ASSERT_TRUE(q.try_pop(out));
   EXPECT_TRUE(eventually(first_released));  // depth 1: room
 
   ASSERT_TRUE(q.push_run(three, {}));  // depth 4, and no pop will come
@@ -332,7 +304,7 @@ TEST(EventQueue, WaitForRoomWaitsForAPopBelowCapacityOrAClose) {
   EXPECT_EQ(q.size(), 4u);  // and the backlog stays poppable
 }
 
-TEST(EventQueue, PopRunIsBoundedAndStopsAtAMarker) {
+TEST(EventQueue, PopRunIsBounded) {
   EventQueue q(64);
   std::vector<FluxEvent> events;
   for (std::uint32_t i = 0; i < 15; ++i) {
@@ -340,31 +312,28 @@ TEST(EventQueue, PopRunIsBoundedAndStopsAtAMarker) {
   }
   const std::span<const FluxEvent> all(events);
   ASSERT_TRUE(q.push_run(all.first(10), {}));
-  ASSERT_TRUE(q.push_marker());
   ASSERT_TRUE(q.push_run(all.subspan(10), {}));
   std::vector<FluxEvent> run;
   std::vector<Clock::time_point> completed;
   std::vector<std::uint32_t> nodes;
   const auto take = [&](std::size_t max_run) {
-    const Popped got = q.pop_run(run, max_run, completed);
+    const bool got = q.pop_run(run, max_run, completed);
     nodes.clear();
     for (const FluxEvent& e : run) {
       nodes.push_back(e.node);
     }
     return got;
   };
-  ASSERT_EQ(take(4), Popped::kEvent);
+  ASSERT_TRUE(take(4));
   EXPECT_EQ(nodes, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  ASSERT_EQ(take(4), Popped::kEvent);
+  ASSERT_TRUE(take(4));
   EXPECT_EQ(nodes, (std::vector<std::uint32_t>{4, 5, 6, 7}));
-  ASSERT_EQ(take(4), Popped::kEvent);  // the marker cuts this run short
-  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{8, 9}));
-  ASSERT_EQ(take(4), Popped::kMarker);
-  EXPECT_TRUE(run.empty());
-  ASSERT_EQ(take(100), Popped::kEvent);  // a run is at most what is queued
-  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{10, 11, 12, 13, 14}));
+  ASSERT_TRUE(take(4));  // a run may span two pushed runs
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{8, 9, 10, 11}));
+  ASSERT_TRUE(take(100));  // a run is at most what is queued
+  EXPECT_EQ(nodes, (std::vector<std::uint32_t>{12, 13, 14}));
   q.close();
-  EXPECT_EQ(take(4), Popped::kNone);
+  EXPECT_FALSE(take(4));
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 15u);
   EXPECT_EQ(s.popped, 15u);
@@ -383,20 +352,20 @@ TEST(EventQueue, PopRunHandsEachRunsPushTimeToTheTakeThatEndsIt) {
   ASSERT_TRUE(q.push_run(all.first(4), t0));
   ASSERT_TRUE(q.push_run(all.subspan(4, 2), t1));
   ASSERT_TRUE(q.push_run(all.subspan(6), t2));
-  ASSERT_TRUE(q.push_marker());
   std::vector<FluxEvent> run;
   std::vector<Clock::time_point> completed{t2};  // every take replaces it
   using Stamps = std::vector<Clock::time_point>;
-  ASSERT_EQ(q.pop_run(run, 3, completed), Popped::kEvent);
+  ASSERT_TRUE(q.pop_run(run, 3, completed));
   EXPECT_EQ(run.size(), 3u);
   EXPECT_EQ(completed, Stamps{});  // the first run still has an event queued
-  ASSERT_EQ(q.pop_run(run, 1, completed), Popped::kEvent);
+  ASSERT_TRUE(q.pop_run(run, 1, completed));
   EXPECT_EQ(run.size(), 1u);
   EXPECT_EQ(completed, Stamps{t0});  // its last event: its stamp, once
-  ASSERT_EQ(q.pop_run(run, 10, completed), Popped::kEvent);
+  ASSERT_TRUE(q.pop_run(run, 10, completed));
   EXPECT_EQ(run.size(), 5u);
   EXPECT_EQ(completed, (Stamps{t1, t2}));  // two whole runs, one stamp each
-  ASSERT_EQ(q.pop_run(run, 10, completed), Popped::kMarker);
+  q.close();
+  ASSERT_FALSE(q.pop_run(run, 10, completed));
   EXPECT_EQ(completed, Stamps{});
 }
 

@@ -8,9 +8,9 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -21,6 +21,7 @@
 #include "net/deployment.hpp"
 #include "sim/faults.hpp"
 #include "sim/scenario.hpp"
+#include "stream/checkpoint.hpp"
 #include "stream/emit.hpp"
 
 namespace fluxfp::stream {
@@ -103,8 +104,8 @@ std::unique_ptr<TrackerManager> finished_plain(
   return m;
 }
 
-/// The offered events `image` covers: its sessions' events_taken sum, the
-/// count a caller replaying a recorded stream resumes after.
+/// The events `image` covers: its sessions' events_taken sum, each session
+/// covering its own first events.
 std::uint64_t covered(const std::string& image) {
   ManagerCheckpoint cp;
   std::istringstream is(image);
@@ -156,7 +157,7 @@ TEST(Supervisor, NoCrashesMatchesPlainRunExactly) {
   sup.start();
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i % 8 == 0) {
-      sup.quiesce();  // a pending cut is captured; this offer commits it
+      sup.quiesce();  // the workers cut; the next offer commits
     }
     EXPECT_EQ(sup.offer(events[i]), PushStatus::kAccepted);
   }
@@ -169,56 +170,77 @@ TEST(Supervisor, NoCrashesMatchesPlainRunExactly) {
   EXPECT_EQ(covered(sup.checkpoint_image()), events.size());
 }
 
-TEST(Supervisor, EveryCommitHoldsExactlyTheOffersItCovers) {
-  // A cut commits some offers after it was requested. After every commit,
-  // the image must be the one a plain manager quiesced after exactly the
-  // covered offers would give — the count a replaying caller resumes
-  // from.
+TEST(Supervisor, EveryCommittedSessionHoldsExactlyTheEventsItTook) {
+  // Workers cut their own sessions at their own epoch boundaries, so a
+  // committed image is session-wise: every session's record must be the
+  // one a bare tracker holds after exactly that session's first
+  // events_taken events. Crashes after every third commit restore from the
+  // cuts and re-fold the journals, so a cut or a journal that is one run
+  // off shows in the images committed after it.
   const Bed bed;
   constexpr std::size_t kSessions = 3;
   const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 71);
   ASSERT_GT(events.size(), 100u);
+  // want[u][k]: session u's record after its first k events.
+  std::vector<std::vector<std::string>> want(kSessions);
+  for (std::uint32_t u = 0; u < kSessions; ++u) {
+    StreamTracker t = bed.tracker(1000 + u);
+    const auto record = [&] {
+      return encode_session_record(
+          {u, {bed.sniffers.begin(), bed.sniffers.end()}, t.save_state()});
+    };
+    want[u].push_back(record());
+    for (const FluxEvent& e : events) {
+      if (e.user == u) {
+        t.on_event(e);
+        want[u].push_back(record());
+      }
+    }
+  }
+  const std::string plain = plain_image(bed, kSessions, 1, events);
+  const std::string path = ::testing::TempDir() + "session_wise.ckpt";
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SupervisorConfig cfg;
     cfg.checkpoint_every_epochs = 1;
+    cfg.checkpoint_path = path;
     Supervisor sup(bed.factory(kSessions, workers), cfg);
     sup.start();
-    std::map<std::uint64_t, std::string> committed;  // offers -> image
-    committed[covered(sup.checkpoint_image())] = sup.checkpoint_image();
     std::uint64_t seen = sup.stats().checkpoints;
+    std::size_t commits = 0;
+    std::size_t crashes = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
-      if (i % 16 == 0) {
-        sup.quiesce();
+      if (i % 8 == 0) {
+        sup.quiesce();  // the workers cut; the next offer commits
       }
       ASSERT_EQ(sup.offer(events[i]), PushStatus::kAccepted);
-      if (sup.stats().checkpoints != seen) {
-        seen = sup.stats().checkpoints;
-        // The commit lands after its cut, never at it.
-        const std::uint64_t offers = covered(sup.checkpoint_image());
-        EXPECT_LT(offers, i + 1);
-        committed[offers] = sup.checkpoint_image();
+      if (sup.stats().checkpoints == seen) {
+        continue;
+      }
+      seen = sup.stats().checkpoints;
+      ++commits;
+      std::ifstream file(path, std::ios::binary);
+      ManagerCheckpoint committed;
+      ASSERT_FALSE(read_checkpoint(file, committed).has_value());
+      ASSERT_EQ(committed.sessions.size(), kSessions);
+      for (const SessionCheckpoint& sc : committed.sessions) {
+        const std::uint64_t taken = events_taken(sc.state.stats);
+        ASSERT_LT(taken, want[sc.user].size());
+        EXPECT_TRUE(encode_session_record(sc) == want[sc.user][taken])
+            << "session " << sc.user << " after " << taken
+            << " events, commit " << commits << " workers " << workers;
+      }
+      if (commits % 3 == 0) {
+        sup.inject_crash();
+        ++crashes;
       }
     }
     sup.finish();
-    EXPECT_EQ(covered(sup.checkpoint_image()), events.size());
-    committed[events.size()] = sup.checkpoint_image();
-    EXPECT_GE(committed.size(), 5u) << "workers " << workers;
-
-    auto plain = bed.factory(kSessions, 1)();
-    plain->start();
-    std::size_t fed = 0;
-    for (const auto& [covered, image] : committed) {
-      for (; fed < covered; ++fed) {
-        plain->offer(events[fed]);
-      }
-      if (covered == events.size()) {
-        plain->finish();  // the final image is post-flush
-      }
-      EXPECT_EQ(image, encode_checkpoint(plain->checkpoint()))
-          << "covered " << covered << " workers " << workers;
-    }
+    EXPECT_GE(commits, 6u) << "workers " << workers;
+    EXPECT_EQ(sup.stats().restarts, crashes);
+    EXPECT_EQ(sup.checkpoint_image(), plain) << "workers " << workers;
   }
+  std::remove(path.c_str());
 }
 
 TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
@@ -234,7 +256,7 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
     Supervisor sup(bed.factory(kSessions, workers), cfg);
     sup.start();
     // Kill at arbitrary, awkward points: right after start, mid-window,
-    // twice within three offers, with or without a cut pending.
+    // twice within three offers, with or without a commit between.
     const std::size_t kills[] = {1, events.size() / 3,
                                  events.size() / 3 + 2,
                                  events.size() - 3};
@@ -242,7 +264,7 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (next_kill < 4 && i == kills[next_kill]) {
         sup.inject_crash();
-        // Restored before inject_crash() returns: the sessions already
+        // Restarted before inject_crash() returns: the sessions already
         // hold every event offered so far.
         ASSERT_TRUE(sup.quiesce());
         std::uint64_t taken = 0;
@@ -253,7 +275,7 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
         ++next_kill;
       }
       if (i % 8 == 0) {
-        sup.quiesce();  // lets cuts commit between the kills
+        sup.quiesce();  // lets the workers cut between the kills
       }
       EXPECT_EQ(sup.offer(events[i]), PushStatus::kAccepted);
     }
@@ -267,16 +289,21 @@ TEST(Supervisor, InjectedCrashesRestoreBitIdentically) {
 }
 
 TEST(Supervisor, RestartFoldsEveryAcceptedEventUnderAQuota) {
-  // A restart replays the journal through quota admission. The journal
-  // holds only accepted events, so the replay must fold every one of them
-  // even where it outruns the tenant's quota. Quiescing every 4 offers
-  // keeps the live shard under the quota while the journal between two
-  // commits outgrows it.
+  // A restart re-folds the workers' journals. They hold only accepted
+  // events and the re-fold admits nothing, so it must fold every one of
+  // them even where a journal outgrows the tenant's quota. Quiescing every
+  // 4 offers keeps the live shard under the quota while the journals
+  // between two cuts outgrow it.
   const Bed bed;
   constexpr std::size_t kSessions = 4;
   constexpr std::size_t kQuota = 8;
   const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 91);
   ASSERT_GT(events.size(), 100u);
+  // Each session here fires an epoch every 10 events, so one worker with
+  // all 4 sessions cuts every 40 events, and offer N/2 lands on a cut,
+  // with nothing journaled; 20 offers later its journal holds half a cut
+  // interval.
+  const std::size_t crash_at = events.size() / 2 + 20;
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     for (const bool crash : {false, true}) {
@@ -297,7 +324,7 @@ TEST(Supervisor, RestartFoldsEveryAcceptedEventUnderAQuota) {
       sup.start();
       std::vector<FluxEvent> accepted;
       for (std::size_t i = 0; i < events.size(); ++i) {
-        if (crash && i == events.size() / 2) {
+        if (crash && i == crash_at) {
           sup.inject_crash();
         }
         if (i % 4 == 0) {
@@ -327,7 +354,7 @@ TEST(Supervisor, RestartFoldsEveryAcceptedEventUnderAQuota) {
 TEST(Supervisor, CrashAfterEveryFifthCommitSoak) {
   // The CI soak: a fault-injected stream (transport drops/dups/stragglers)
   // into a supervised service whose shard is killed after every fifth
-  // commit, with cuts pending and journals to replay. 2 sessions x 100
+  // commit, with events queued and journals to re-fold. 2 sessions x 100
   // rounds = 200 epochs end to end; the final image must still be
   // bit-identical to a run that never crashed.
   const Bed bed;
@@ -352,8 +379,8 @@ TEST(Supervisor, CrashAfterEveryFifthCommitSoak) {
   sup.start();
   std::uint64_t kill_at = 5;  // commits, the baseline included
   for (std::size_t i = 0; i < events.size(); ++i) {
-    // Keeps each cut within a few epochs of the workers, so commits keep
-    // coming between two kills.
+    // Lets the workers' cuts reach an offer, so commits keep coming
+    // between two kills.
     if (i % 16 == 0) {
       sup.quiesce();
     }
@@ -403,9 +430,9 @@ TEST(Supervisor, CrashAfterEveryFifthCommitSoak) {
 
 TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
   // A commit whose file write fails (here: a file-size limit below the
-  // image size) must leave the last good file on disk and the in-memory
-  // image and journal at the previous cut, so a crash afterwards still
-  // recovers exactly.
+  // image size) must leave the last good file on disk and count nothing.
+  // The workers' cuts and journals in memory carry on, so a crash
+  // afterwards still recovers exactly.
   const Bed bed;
   const std::vector<FluxEvent> events = bed.merged_stream(1, 6, 61);
   ASSERT_GT(events.size(), 40u);
@@ -430,7 +457,7 @@ TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
   std::size_t next = 0;
   bool threw = false;
   for (; next < events.size() && !threw; ++next) {
-    sup.quiesce();  // a pending cut is complete: this offer commits it
+    sup.quiesce();  // the workers cut: this offer commits
     try {
       sup.offer(events[next]);
     } catch (const std::runtime_error&) {
@@ -446,7 +473,7 @@ TEST(Supervisor, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
   const std::string on_disk((std::istreambuf_iterator<char>(file)),
                             std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, baseline);
-  EXPECT_EQ(sup.checkpoint_image(), baseline);
+  EXPECT_NE(sup.checkpoint_image(), baseline);  // the cuts moved on
 
   sup.inject_crash();
   for (; next < events.size(); ++next) {
@@ -488,55 +515,10 @@ TEST(Supervisor, GivesUpAfterMaxRestartsAndShedsSessions) {
   EXPECT_EQ(committed.sessions.size(), 2u);
 }
 
-TEST(Supervisor, SpanCutsLandOnSpanBoundaries) {
-  // The cadence is checked once per span, so every cut falls between two
-  // spans, and an image's own count still counts events: each commit's
-  // image is the one a plain manager gives after exactly that many events.
-  const Bed bed;
-  constexpr std::size_t kSessions = 3;
-  constexpr std::size_t kSpan = 16;
-  const std::vector<FluxEvent> events = bed.merged_stream(kSessions, 6, 73);
-  ASSERT_GT(events.size(), 100u);
-  SupervisorConfig cfg;
-  cfg.checkpoint_every_epochs = 1;
-  Supervisor sup(bed.factory(kSessions, 2), cfg);
-  sup.start();
-  std::map<std::uint64_t, std::string> committed;  // offers -> image
-  std::uint64_t seen = sup.stats().checkpoints;
-  const std::span<const FluxEvent> all(events);
-  for (std::size_t at = 0; at < all.size(); at += kSpan) {
-    // Folds everything so far: the cadence sees the fired epochs, and a
-    // pending cut is complete when the next span commits it.
-    sup.quiesce();
-    const auto span = all.subspan(at, std::min(kSpan, all.size() - at));
-    std::vector<PushStatus> status(span.size());
-    sup.offer(span, status).wait();
-    if (sup.stats().checkpoints != seen) {
-      seen = sup.stats().checkpoints;
-      const std::uint64_t offers = covered(sup.checkpoint_image());
-      EXPECT_EQ(offers % kSpan, 0u);
-      EXPECT_LE(offers, at);  // requested by an earlier span
-      committed[offers] = sup.checkpoint_image();
-    }
-  }
-  sup.finish();
-  EXPECT_GE(committed.size(), 3u);
-  auto plain = bed.factory(kSessions, 1)();
-  plain->start();
-  std::size_t fed = 0;
-  for (const auto& [covered, image] : committed) {
-    for (; fed < covered; ++fed) {
-      plain->offer(events[fed]);
-    }
-    EXPECT_EQ(image, encode_checkpoint(plain->checkpoint()))
-        << "covered " << covered;
-  }
-}
-
 TEST(Supervisor, CrashWhileASpanWaitsForRoomReleasesItAndReplays) {
-  // The room a span offer returns outlives the incarnation it was offered
-  // to: a crash destroys the manager and closes its queues, which
-  // releases the wait, and the span's events, journaled, replay.
+  // A crash while a span waits for room: the restart quiesces the shard,
+  // which drains the queues and releases the wait, and the span's events,
+  // folded and journaled, re-fold.
   const Bed bed;
   constexpr std::size_t kSessions = 2;
   constexpr std::size_t kSpan = 24;
@@ -568,10 +550,10 @@ TEST(Supervisor, CrashWhileASpanWaitsForRoomReleasesItAndReplays) {
         EXPECT_EQ(st, PushStatus::kAccepted);
       }
       if (k % 3 == 1) {
-        sup.inject_crash();  // the manager dies before the wait
+        sup.inject_crash();  // before the wait
         ++crashes;
       }
-      room.wait();  // must return, on the dead incarnation's queues too
+      room.wait();  // must return
     }
     sup.finish();
     EXPECT_EQ(sup.checkpoint_image(), plain) << "workers " << workers;

@@ -69,8 +69,8 @@ RunResult run_daemon(const std::string& args) {
 }
 
 /// The trace events the FLUXFPC1 image at `path` covers: its sessions'
-/// events_taken sum, which `local --restore` skips. 0 while no image
-/// decodes.
+/// events_taken sum, which `local --restore` skips (each session its
+/// own). 0 while no image decodes.
 std::uint64_t image_events(const std::string& path) {
   fluxfp::stream::ManagerCheckpoint cp;
   if (fluxfp::stream::read_checkpoint_file(path, cp)) {
@@ -195,9 +195,9 @@ TEST(StreamDaemonCli, UnwritableCheckpointPathExitsOne) {
 TEST(StreamDaemonCli, KilledAndRestoredRunEndsWithTheUninterruptedImage) {
   // kill -9 a paced run once its first periodic commit is on disk, resume
   // it with --restore, and the final image must be the uninterrupted
-  // run's, byte for byte: the image's own count of events taken must be
-  // exactly the trace prefix it holds, although a commit lands after its
-  // cut.
+  // run's, byte for byte: each session's record must hold exactly the
+  // session's first events_taken events, which the resume skips per
+  // session, although the workers cut their sessions at different points.
   const std::string dir = ::testing::TempDir();
   const std::string trace = dir + "fxn_cli_kill.trace";
   const std::string killed = dir + "fxn_cli_kill.ckpt";

@@ -738,8 +738,8 @@ class ScopeWalker {
         toks[j + 1].kind == TokKind::kIdent &&
         is_punct(toks[j + 2], "(")) {
       if (subscripted && is_punct(nxt, "->")) {
-        // queues_[i]->push_marker(): a container of pointers — the call
-        // mutates the pointee, not the container member itself.
+        // queues_[i]->push_run(run, now): a container of pointers — the
+        // call mutates the pointee, not the container member itself.
         return false;
       }
       return read_method_whitelist().count(toks[j + 1].text) == 0;
