@@ -131,10 +131,10 @@ TEST(ServerRecovery, CrashMidConnectionReconstructsBitIdentically) {
 }
 
 TEST(ServerRecovery, QueryRightAfterACrashReadsTheRestoredShard) {
-  // A crash restarts the shard at once — restore, then journal replay,
-  // under the ingest lock — so a query right after it, with no batch in
-  // between, reads the sessions exactly as they stood before the crash,
-  // on the connection that saw it.
+  // A crash restarts the shard at once, in place — restore the workers'
+  // cuts, re-fold their journals, under the ingest lock — so a query
+  // right after it, with no batch in between, reads the sessions exactly
+  // as they stood before the crash, on the connection that saw it.
   Bed bed;
   stream::ManagerConfig mc;
   mc.workers = 1;
@@ -162,7 +162,7 @@ TEST(ServerRecovery, QueryRightAfterACrashReadsTheRestoredShard) {
         {e.epochs_fired, e.events_folded, e.estimates}};
   };
   expect_bit_identical(cut(before), cut(after), "query after the crash");
-  // The restored sessions' own counts cover the replayed journal.
+  // The restarted sessions' own counts cover the re-folded journals.
   MetricsMsg m;
   ASSERT_TRUE(client.metrics(m)) << client.last_error();
   EXPECT_EQ(m.restarts, 1u);
@@ -226,10 +226,11 @@ TEST(ServerRecovery, GivenUpShardAnswersUnavailableAndRepeatsItsLastRead) {
 TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
   // A batch overruns a 2-slot queue behind folds of tens of ms each, so
   // its connection is still waiting for room, outside the ingest lock,
-  // when the shard is killed. The crash closes the dead incarnation's
-  // queues, which releases the wait: the batch is acknowledged in full,
-  // and it replays at the restart that follows the crash — the session
-  // ends exactly where an uninterrupted tracker fed the same events does.
+  // when the shard is killed. The crash first quiesces the shard, which
+  // drains the queues and releases the wait: the batch is acknowledged in
+  // full, folded and journaled, and re-folded at the restart — the
+  // session ends exactly where an uninterrupted tracker fed the same
+  // events does.
   Bed bed;
   const auto slow = [&bed](std::uint64_t seed) {
     stream::StreamTrackerConfig tc;
@@ -281,7 +282,7 @@ TEST(ServerRecovery, CrashWhileABatchWaitsForRoomReleasesItAndReplays) {
   ASSERT_FALSE(decode_batch_ack(frame.payload, ack).has_value());
   EXPECT_EQ(ack.accepted, 8u);
 
-  // The rest goes to the restored incarnation.
+  // The rest goes to the restarted shard.
   Client client;
   ASSERT_TRUE(client.connect(server.endpoint(), 0)) << client.last_error();
   BatchAckMsg rest;
