@@ -197,8 +197,6 @@ const char* error_code_name(ErrorCode code) {
       return "auth failed";
     case ErrorCode::kNotAuthenticated:
       return "not authenticated";
-    case ErrorCode::kUnavailable:
-      return "unavailable";
     case ErrorCode::kUnknownUser:
       return "unknown user";
     case ErrorCode::kServiceClosing:
@@ -568,8 +566,10 @@ std::optional<WireError> decode_error(std::string_view payload,
   if (!r.u32(code) || !r.u64(out.offset) || !r.u32(text_len)) {
     return r.error();
   }
+  constexpr std::uint32_t kRetired = 5;  // see ErrorCode
   if (code < static_cast<std::uint32_t>(ErrorCode::kMalformedFrame) ||
-      code > static_cast<std::uint32_t>(ErrorCode::kModelMismatch)) {
+      code > static_cast<std::uint32_t>(ErrorCode::kModelMismatch) ||
+      code == kRetired) {
     return r.fail("unknown error code " + std::to_string(code));
   }
   out.code = static_cast<ErrorCode>(code);

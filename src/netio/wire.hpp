@@ -61,13 +61,14 @@ bool known_frame_type(std::uint16_t raw);
 const char* frame_type_name(FrameType type);
 
 /// Typed reason codes carried by ERROR frames. Stable numeric values:
-/// clients match on the code, the message text is for humans.
+/// clients match on the code, the message text is for humans. 5 is
+/// retired (a shard down for good, which a supervised shard never is) and
+/// decodes as unknown, like any code not listed here.
 enum class ErrorCode : std::uint32_t {
   kMalformedFrame = 1,      ///< framing/payload failed a bounds check
   kUnsupportedVersion = 2,  ///< HELLO version this server does not speak
   kAuthFailed = 3,          ///< unknown tenant or wrong token
   kNotAuthenticated = 4,    ///< first frame was not HELLO
-  kUnavailable = 5,         ///< shard down (the supervisor gave up)
   kUnknownUser = 6,         ///< QUERY_ESTIMATE for an unregistered session
   kServiceClosing = 7,      ///< server is draining; retry elsewhere
   kInternal = 8,            ///< server-side failure, connection unusable
@@ -189,11 +190,11 @@ struct WelcomeMsg {
 /// Per-batch admission tallies, mirroring stream::PushStatus: every record
 /// of the batch lands in exactly one bucket.
 struct BatchAckMsg {
-  std::uint64_t accepted = 0;  ///< routed (or journaled) for folding
+  std::uint64_t accepted = 0;  ///< routed for folding
   std::uint64_t shed = 0;      ///< rejected by the tenant admission policy
   std::uint64_t unknown = 0;   ///< no such session registered
   std::uint64_t foreign = 0;   ///< session belongs to another tenant
-  std::uint64_t closed = 0;    ///< service closing / gave up
+  std::uint64_t closed = 0;    ///< service not running (closing)
 };
 
 struct QueryMsg {

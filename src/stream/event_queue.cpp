@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/instrument.hpp"
 
@@ -163,12 +162,10 @@ QueueStats EventQueue::stats() const {
   return stats_;
 }
 
-void RoomWait::add(std::shared_ptr<EventQueue> queue) {
-  queues_.push_back(std::move(queue));
-}
+void RoomWait::add(EventQueue* queue) { queues_.push_back(queue); }
 
 void RoomWait::wait() const {
-  for (const std::shared_ptr<EventQueue>& queue : queues_) {
+  for (EventQueue* queue : queues_) {
     queue->wait_for_room();
   }
 }

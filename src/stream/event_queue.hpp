@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -123,20 +122,20 @@ class EventQueue {
 };
 
 /// The room a span offer waits for once it holds no lock: the queues it
-/// appended to. They are held by shared ownership, so the wait may outlive
-/// the TrackerManager that owned them; a supervisor that gives up destroys
-/// the manager, which closes its queues, and a closed queue releases the
-/// wait.
+/// appended to. It does not own them: the TrackerManager that does must
+/// outlive the wait. A restart keeps the manager and its queues, and
+/// finish() closes them, which releases the wait; netio::Server::stop()
+/// joins every connection before it finishes the service.
 class RoomWait {
  public:
   /// Adds `queue` to the queues to wait on.
-  void add(std::shared_ptr<EventQueue> queue);
+  void add(EventQueue* queue);
 
   /// Waits for room on every added queue (EventQueue::wait_for_room).
   void wait() const;
 
  private:
-  std::vector<std::shared_ptr<EventQueue>> queues_;
+  std::vector<EventQueue*> queues_;
 };
 
 }  // namespace fluxfp::stream

@@ -73,7 +73,7 @@ void TrackerManager::start() {
   config_.workers = workers;
   queues_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    queues_.push_back(std::make_shared<EventQueue>(config_.queue_capacity));
+    queues_.push_back(std::make_unique<EventQueue>(config_.queue_capacity));
   }
   journals_.resize(workers);
   if (config_.tenant_quota > 0) {
@@ -216,7 +216,7 @@ RoomWait TrackerManager::offer(std::span<const FluxEvent> events,
       continue;
     }
     if (queues_[w]->push_run(run, pushed)) {
-      room.add(queues_[w]);
+      room.add(queues_[w].get());
       continue;
     }
     // A closed queue (finish() ran concurrently, against the contract)
@@ -275,8 +275,9 @@ void TrackerManager::worker_loop(std::size_t worker) {
     // event this worker has folded and the journal starts over; without a
     // cut the run joins the journal. Either way before the flow hold: a
     // quiesce() that sees the run processed sees the journal and the cut.
-    const bool cut = supervised_ && cut_every_epochs_ > 0 &&
-                     epochs_since_cut >= cut_every_epochs_;
+    const bool cut =
+        supervised_ && (epochs_since_cut >= cut_every_epochs_ ||
+                        journal.size() + run.size() >= kMaxJournalEvents);
     if (cut) {
       records.clear();
       for (std::size_t i = worker; i < sessions_.size(); i += stride) {
@@ -363,23 +364,11 @@ std::string TrackerManager::cut_image() const {
 }
 
 std::uint64_t TrackerManager::restart_from(const ManagerCheckpoint& cut) {
-  const bool every_session =
-      std::equal(cut.sessions.begin(), cut.sessions.end(), sessions_.begin(),
-                 sessions_.end(),
-                 [](const SessionCheckpoint& sc, const Session& s) {
-                   return sc.user == s.user;
-                 });
-  if (!every_session) {
-    throw std::logic_error("TrackerManager: restart_from() needs every "
-                           "session's record, in registration order");
-  }
+  apply(cut);
   // Folds inline, as the workers do: the service leaves the shared pool
   // to single-threaded callers.
   numeric::SerialRegionGuard serial;
   std::uint64_t refolded = 0;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    sessions_[i].tracker.restore_state(cut.sessions[i].state);
-  }
   for (const std::vector<FluxEvent>& journal : journals_) {
     for (const FluxEvent& event : journal) {
       sessions_[user_index_.at(event.user)].tracker.on_event(event);
@@ -404,6 +393,10 @@ void TrackerManager::restore(const ManagerCheckpoint& cp) {
     throw std::logic_error(
         "TrackerManager: restore() must run before start()");
   }
+  apply(cp);
+}
+
+void TrackerManager::apply(const ManagerCheckpoint& cp) {
   if (cp.sessions.size() != sessions_.size()) {
     throw std::invalid_argument(
         "TrackerManager: checkpoint session count does not match the "
@@ -411,15 +404,22 @@ void TrackerManager::restore(const ManagerCheckpoint& cp) {
   }
   // Validate the whole image against the registered sessions first, then
   // apply — a mismatch must not leave some sessions restored and others
-  // fresh.
+  // fresh. With the counts equal, a session recorded twice would leave
+  // another uncovered.
   std::vector<std::size_t> targets;
   targets.reserve(cp.sessions.size());
+  std::vector<bool> recorded(sessions_.size(), false);
   for (const SessionCheckpoint& sc : cp.sessions) {
     const auto it = user_index_.find(sc.user);
     if (it == user_index_.end()) {
       throw std::invalid_argument(
           "TrackerManager: checkpoint session for an unregistered user");
     }
+    if (recorded[it->second]) {
+      throw std::invalid_argument(
+          "TrackerManager: checkpoint records a session twice");
+    }
+    recorded[it->second] = true;
     const StreamTracker& t = sessions_[it->second].tracker;
     const std::vector<std::size_t>& nodes = t.sniffer_nodes();
     const bool nodes_match =

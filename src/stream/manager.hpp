@@ -114,14 +114,20 @@ class TrackerManager {
   /// no session is registered.
   void start();
 
+  /// Events a worker's journal holds at most: a worker cuts after a run
+  /// that brings its journal to this many, fired epochs or not. Late,
+  /// duplicate and unknown-node events fire no epoch, so without it a
+  /// journal of them would grow without bound (2 MiB of 32-byte events).
+  static constexpr std::size_t kMaxJournalEvents = 65536;
+
   /// start() under supervision: every session's record is cut now, as the
   /// baseline, and from then on each worker journals the events it folds
   /// and cuts again after a run that brings its sessions to
-  /// `cut_every_epochs` fired epochs since its last cut (0: never). A cut
-  /// encodes the worker's sessions' FLUXFPC1 records off the flow lock,
-  /// publishes them in the hold the run takes anyway, and empties the
-  /// journal: the records cover every event it folded. Throws like
-  /// start().
+  /// `cut_every_epochs` (>= 1, which Supervisor checks) fired epochs since
+  /// its last cut, or its journal to kMaxJournalEvents. A cut encodes the
+  /// worker's sessions' FLUXFPC1 records off the flow lock, publishes them
+  /// in the hold the run takes anyway, and empties the journal: the
+  /// records cover every event it folded. Throws like start().
   void start_supervised(std::size_t cut_every_epochs);
 
   /// Routes `events` in order to their sessions' workers, writing each
@@ -155,11 +161,12 @@ class TrackerManager {
 
   /// Crash recovery in place, on a supervised service the caller has
   /// quiesced: puts every session back to its record in `cut` (the decoded
-  /// cut_image()) and re-folds its worker's journal on the calling thread,
-  /// so that each session again holds every event it took. The queues and
-  /// the worker threads carry on untouched. Returns the events re-folded.
-  /// Same single-producer caveat as quiesce(); throws std::logic_error
-  /// when `cut` is not this service's session list.
+  /// cut_image()), as restore() does, then re-folds every worker's journal
+  /// on the calling thread, so that each session again holds every event
+  /// it took. The queues and the worker threads carry on untouched.
+  /// Returns the events re-folded. Same single-producer caveat as
+  /// quiesce(); throws std::invalid_argument, with no session changed,
+  /// where restore() would.
   std::uint64_t restart_from(const ManagerCheckpoint& cut);
 
   /// Snapshot of every session in registration order. Quiesces first when
@@ -219,6 +226,9 @@ class TrackerManager {
 
   void worker_loop(std::size_t worker);
   const Session& find_session(std::uint32_t user) const;
+  /// restore()'s body, shared with restart_from(): checks `cp` against
+  /// every registered session, then applies it all or nothing.
+  void apply(const ManagerCheckpoint& cp);
   /// Quota admission under the flow lock: takes one of the tenant's
   /// in-flight slots, or returns false when it has none left. Only called
   /// with a tenant quota set.
@@ -229,8 +239,9 @@ class TrackerManager {
   ManagerConfig config_;
   std::vector<Session> sessions_;
   std::unordered_map<std::uint32_t, std::size_t> user_index_;
-  /// One per worker, shared with the RoomWaits of offers still waiting.
-  std::vector<std::shared_ptr<EventQueue>> queues_;
+  /// One per worker. They live as long as the manager, which outlives
+  /// every RoomWait of its offers (see RoomWait).
+  std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<std::thread> threads_;
   /// Supervision (start_supervised), fixed before the workers start.
   bool supervised_ = false;

@@ -292,6 +292,26 @@ TEST(WireCodecHostile, ErrorCodeOutOfRangeRejected) {
   EXPECT_EQ(err->kind, WireError::Kind::kMalformedPayload);
 }
 
+TEST(WireCodecHostile, RetiredErrorCodeFiveIsRefusedLikeAnyUnassignedCode) {
+  // Codes 1-9 but 5 are assigned; 5 once meant a shard down for good and
+  // stays unassigned, so it decodes no better than 0 or 10.
+  for (std::uint32_t code = 0; code <= 10; ++code) {
+    ErrorMsg in;
+    in.code = ErrorCode::kInternal;
+    std::string payload = encode_error(in);
+    std::memcpy(payload.data(), &code, sizeof(code));
+    ErrorMsg out;
+    const auto err = decode_error(payload, out);
+    if (code == 0 || code == 5 || code == 10) {
+      ASSERT_TRUE(err.has_value()) << "code " << code;
+      EXPECT_EQ(err->kind, WireError::Kind::kMalformedPayload);
+    } else {
+      EXPECT_FALSE(err.has_value()) << "code " << code;
+      EXPECT_EQ(static_cast<std::uint32_t>(out.code), code);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Frame stream decoding
 // ---------------------------------------------------------------------------

@@ -275,6 +275,11 @@ TEST(Checkpoint, RestoreValidatesDeploymentAndLifecycle) {
   const std::string untouched = encode_checkpoint(fresh->checkpoint());
   EXPECT_THROW(fresh->restore(renamed), std::invalid_argument);
 
+  // One session recorded twice, so the other one is not covered.
+  ManagerCheckpoint doubled = cp;
+  doubled.sessions[1] = doubled.sessions[0];
+  EXPECT_THROW(fresh->restore(doubled), std::invalid_argument);
+
   // A checkpoint taken against a different sniffer deployment.
   ManagerCheckpoint reshaped = cp;
   reshaped.sessions[0].sniffer_nodes.push_back(1);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -190,6 +191,49 @@ TEST(StreamDaemonCli, UnwritableCheckpointPathExitsOne) {
   EXPECT_NE(res.output.find("checkpoint " + ckpt + ": "), std::string::npos)
       << res.output;
   std::remove(trace.c_str());
+}
+
+TEST(StreamDaemonCli, ServeWhoseFinalImageCannotBeWrittenExitsOne) {
+  // serve writes its baseline image, then loses the checkpoint directory;
+  // on SIGINT the final image cannot be written: a diagnostic and exit 1,
+  // not an uncaught std::runtime_error.
+  const std::string base = ::testing::TempDir() + "fxn_cli_serve_" +
+                           std::to_string(getpid());
+  const std::string dir = base + ".d";
+  const std::string ckpt = dir + "/x.ckpt";
+  const std::string sock = base + ".sock";
+  const std::string out = base + ".out";
+  ASSERT_EQ(mkdir(dir.c_str(), 0700), 0);
+  const std::string cmd = std::string("exec ") + STREAM_DAEMON_BIN +
+                          " serve --sessions 1 --listen unix:" + sock +
+                          " --checkpoint " + ckpt + " > " + out + " 2>&1";
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  // The baseline lands in Server::start(), after the signal handlers.
+  bool baseline = false;
+  for (int n = 0; n < 3000 && !baseline; ++n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    baseline = std::ifstream(ckpt).good();
+  }
+  EXPECT_TRUE(baseline);
+  std::remove(ckpt.c_str());
+  rmdir(dir.c_str());
+  kill(pid, SIGINT);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  const std::string output = read_file(out);
+  ASSERT_TRUE(WIFEXITED(status)) << "wait status " << status << "\n"
+                                 << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("checkpoint " + ckpt + ": "), std::string::npos)
+      << output;
+  for (const std::string& path : {out, sock}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(StreamDaemonCli, KilledAndRestoredRunEndsWithTheUninterruptedImage) {
